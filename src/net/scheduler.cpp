@@ -241,17 +241,18 @@ struct DirectContext {
   std::atomic<std::uint64_t>* pruned_pairs = nullptr;
 };
 
+// Per-task scratch of the direct fill: one per (slot, step-in-chunk), so the
+// tasks of one chunk never share state and each reuses its buffers' capacity
+// across the chunks its slot processes.
 struct DirectScratch {
-  std::vector<std::vector<StationBudget>> downlinks;   // per step-in-chunk
-  std::vector<util::Vec3> positions;                   // per step-in-chunk
+  std::vector<StationBudget> downlinks;                // current satellite
   std::vector<cov::FootprintIndex::Range> ranges;
-  // Exact mode: per-step emission in (satellite-ascending, site-bucket)
-  // order, counting-sorted into terminal-major afterwards.
-  std::vector<std::vector<Candidate>> emitted;
-  std::vector<std::uint32_t> cursors;
-  // Capped mode: per-(step, terminal) blocks of 2*cap slots — own-satellite
-  // top-K in the front half, spare top-K in the back half, each kept sorted
-  // by capacity descending (stable: earlier = lower satellite index).
+  // Exact mode: emission in (satellite-ascending, site-bucket) order,
+  // counting-sorted into terminal-major afterwards.
+  std::vector<Candidate> emitted;
+  // Capped mode: per-terminal blocks of 2*cap slots — own-satellite top-K in
+  // the front half, spare top-K in the back half, each kept sorted by
+  // capacity descending (stable: earlier = lower satellite index).
   std::vector<Candidate> blocks;
   std::vector<std::uint8_t> own_count;
   std::vector<std::uint8_t> spare_count;
@@ -271,33 +272,28 @@ void top_k_insert(Candidate* region, std::uint8_t& n, std::size_t cap,
   if (n < cap) ++n;
 }
 
-// The footprint-stream chunk fill. Emission is satellite-major (shards
-// ascending, satellites ascending inside each shard); the per-step counting
-// sort at the end restores the exact terminal-major / satellite-ascending
-// candidate order of fill_chunk, so with cap == 0 the output is bit-identical
-// to the pair-mask path: the index + cone only prune (conservative superset
-// of exact visibility), survivors run the same visible_above and the same
-// hop arithmetic on the same table positions.
-void fill_chunk_direct(const DirectContext& ctx, std::size_t chunk_begin,
-                       std::size_t count, std::span<StepCandidates> out,
-                       DirectScratch& scratch) {
+// The footprint-stream fill of one step — the unit of phase-1 parallelism,
+// since a step's candidates depend on that step alone. Emission is
+// satellite-major (shards ascending, satellites ascending inside each
+// shard); the counting sort at the end restores the exact terminal-major /
+// satellite-ascending candidate order of fill_chunk, so with cap == 0 the
+// output is bit-identical to the pair-mask path: the index + cone only prune
+// (conservative superset of exact visibility), survivors run the same
+// visible_above and the same hop arithmetic on the same table positions.
+void fill_step_direct(const DirectContext& ctx, std::size_t step, StepCandidates& out,
+                      DirectScratch& scratch) {
   const std::size_t sat_count = ctx.satellites.size();
   const std::size_t term_count = ctx.terminals.size();
   const std::size_t station_count = ctx.stations.size();
   const std::size_t cap = ctx.cap;
 
-  const std::size_t hint = ctx.step_high_water->load(std::memory_order_relaxed);
-  for (std::size_t b = 0; b < count; ++b) out[b].reset(term_count, hint);
-
-  if (scratch.downlinks.size() < count) scratch.downlinks.resize(count);
-  scratch.positions.resize(count);
+  out.reset(term_count, ctx.step_high_water->load(std::memory_order_relaxed));
   if (cap == 0) {
-    if (scratch.emitted.size() < count) scratch.emitted.resize(count);
-    for (std::size_t b = 0; b < count; ++b) scratch.emitted[b].clear();
+    scratch.emitted.clear();
   } else {
-    scratch.blocks.resize(count * term_count * 2 * cap);
-    scratch.own_count.assign(count * term_count, 0);
-    scratch.spare_count.assign(count * term_count, 0);
+    scratch.blocks.resize(term_count * 2 * cap);
+    scratch.own_count.assign(term_count, 0);
+    scratch.spare_count.assign(term_count, 0);
   }
 
   const std::span<const double> ux = ctx.index->unit_x();
@@ -310,142 +306,111 @@ void fill_chunk_direct(const DirectContext& ctx, std::size_t chunk_begin,
     const constellation::ShellShard& shard = ctx.shards[shard_i];
     const cov::FootprintCone& cone = ctx.shard_cones[shard_i];
     for (std::size_t si = shard.begin; si < shard.end; ++si) {
-      const orbit::EphemerisTable& table = ctx.ephemerides.table(si);
+      const util::Vec3 pos = ctx.ephemerides.table(si).position_ecef(step);
 
-      // Downlink budgets for this satellite over the chunk, station order
-      // ascending (the reference tie-break order).
-      for (std::size_t b = 0; b < count; ++b) scratch.downlinks[b].clear();
-      std::uint64_t any_station = 0;
+      // Downlink budgets for this satellite, station order ascending (the
+      // reference tie-break order).
+      scratch.downlinks.clear();
       for (std::size_t gi = 0; gi < station_count; ++gi) {
-        std::uint64_t bits = chunk_word(
-            ctx.station_vis->words(si * station_count + gi), chunk_begin, count);
-        any_station |= bits;
-        while (bits != 0) {
-          const unsigned b = static_cast<unsigned>(std::countr_zero(bits));
-          bits &= bits - 1;
-          const std::size_t step = chunk_begin + b;
-          const util::Vec3 pos = table.position_ecef(step);
-          const double snr =
-              ctx.downlink_hops[gi].snr_linear(ctx.station_frames[gi].range_m(pos));
-          scratch.downlinks[b].push_back(
-              {static_cast<std::uint32_t>(gi), snr,
-               ctx.regenerative ? ctx.downlink_hops[gi].shannon_bps(snr) : 0.0});
-        }
+        if (!ctx.station_vis->test(si * station_count + gi, step)) continue;
+        const double snr =
+            ctx.downlink_hops[gi].snr_linear(ctx.station_frames[gi].range_m(pos));
+        scratch.downlinks.push_back(
+            {static_cast<std::uint32_t>(gi), snr,
+             ctx.regenerative ? ctx.downlink_hops[gi].shannon_bps(snr) : 0.0});
       }
-      // No reachable station anywhere in the chunk: no candidate can form
-      // (party_avail is the union of these legs), skip the terminal scan.
-      if (any_station == 0) continue;
+      // No reachable station: no candidate can form (party_avail is the
+      // union of these legs), skip the terminal scan.
+      if (scratch.downlinks.empty()) continue;
 
-      for (std::size_t b = 0; b < count; ++b) {
-        if (scratch.downlinks[b].empty()) continue;
-        const std::size_t step = chunk_begin + b;
-        const util::Vec3 pos = table.position_ecef(step);
-        scratch.ranges.clear();
-        ctx.index->query_cap(pos, cone.psi_rad, scratch.ranges);
+      scratch.ranges.clear();
+      ctx.index->query_cap(pos, cone.psi_rad, scratch.ranges);
 
-        std::size_t visited = 0;
-        for (const cov::FootprintIndex::Range& range : scratch.ranges) {
-          visited += range.end - range.begin;
-          for (std::uint32_t j = range.begin; j < range.end; ++j) {
-            // Conservative cone dot test, then the exact elevation test —
-            // identical accept set to the culler-filled pair mask bit.
-            if (ux[j] * pos.x + uy[j] * pos.y + uz[j] * pos.z < cone.dot_threshold) {
-              continue;
-            }
-            const std::uint32_t ti = ids[j];
-            const std::uint32_t party = ctx.terminals[ti].owner_party;
-            if (!ctx.party_avail->test(party * sat_count + si, step)) continue;
-            if (!ctx.terminal_frames[ti].visible_above(pos, ctx.sin_mask)) continue;
+      std::size_t visited = 0;
+      for (const cov::FootprintIndex::Range& range : scratch.ranges) {
+        visited += range.end - range.begin;
+        for (std::uint32_t j = range.begin; j < range.end; ++j) {
+          // Conservative cone dot test, then the exact elevation test —
+          // identical accept set to the culler-filled pair mask bit.
+          if (ux[j] * pos.x + uy[j] * pos.y + uz[j] * pos.z < cone.dot_threshold) {
+            continue;
+          }
+          const std::uint32_t ti = ids[j];
+          const std::uint32_t party = ctx.terminals[ti].owner_party;
+          if (!ctx.party_avail->test(party * sat_count + si, step)) continue;
+          if (!ctx.terminal_frames[ti].visible_above(pos, ctx.sin_mask)) continue;
 
-            const double up_snr =
-                ctx.uplink_hops[ti].snr_linear(ctx.terminal_frames[ti].range_m(pos));
-            const double up_shannon =
-                ctx.regenerative ? ctx.uplink_hops[ti].shannon_bps(up_snr) : 0.0;
-            double best_capacity = 0.0;
-            std::uint32_t best_gs = 0;
-            bool found = false;
-            for (const StationBudget& sb : scratch.downlinks[b]) {
-              if (ctx.stations[sb.station].owner_party != party) continue;
-              const double capacity = relay_capacity_bps(
-                  up_snr, up_shannon, sb.snr_linear, sb.shannon_bps,
-                  ctx.config.transponder, ctx.stations[sb.station].radio,
-                  ctx.config.relay_mode);
-              if (capacity > best_capacity) {
-                best_capacity = capacity;
-                best_gs = sb.station;
-                found = true;
-              }
-            }
-            if (!found) continue;
-            const Candidate cand{ti, static_cast<std::uint32_t>(si), best_gs,
-                                 best_capacity};
-            if (cap == 0) {
-              scratch.emitted[b].push_back(cand);
-            } else {
-              const std::size_t idx = b * term_count + ti;
-              const bool spare = ctx.satellites[si].owner_party != party;
-              Candidate* region =
-                  scratch.blocks.data() + idx * 2 * cap + (spare ? cap : 0);
-              top_k_insert(region,
-                           spare ? scratch.spare_count[idx] : scratch.own_count[idx],
-                           cap, cand);
+          const double up_snr =
+              ctx.uplink_hops[ti].snr_linear(ctx.terminal_frames[ti].range_m(pos));
+          const double up_shannon =
+              ctx.regenerative ? ctx.uplink_hops[ti].shannon_bps(up_snr) : 0.0;
+          double best_capacity = 0.0;
+          std::uint32_t best_gs = 0;
+          bool found = false;
+          for (const StationBudget& sb : scratch.downlinks) {
+            if (ctx.stations[sb.station].owner_party != party) continue;
+            const double capacity = relay_capacity_bps(
+                up_snr, up_shannon, sb.snr_linear, sb.shannon_bps,
+                ctx.config.transponder, ctx.stations[sb.station].radio,
+                ctx.config.relay_mode);
+            if (capacity > best_capacity) {
+              best_capacity = capacity;
+              best_gs = sb.station;
+              found = true;
             }
           }
+          if (!found) continue;
+          const Candidate cand{ti, static_cast<std::uint32_t>(si), best_gs,
+                               best_capacity};
+          if (cap == 0) {
+            scratch.emitted.push_back(cand);
+          } else {
+            const bool spare = ctx.satellites[si].owner_party != party;
+            Candidate* region = scratch.blocks.data() + ti * 2 * cap + (spare ? cap : 0);
+            top_k_insert(region, spare ? scratch.spare_count[ti] : scratch.own_count[ti],
+                         cap, cand);
+          }
         }
-        pruned += term_count - visited;
       }
+      pruned += term_count - visited;
     }
   }
 
   if (cap == 0) {
-    // Counting sort per step: stable by terminal, so within a terminal the
-    // satellite-ascending emission order is preserved — exactly the
-    // pair-mask path's CSR.
-    scratch.cursors.resize(term_count);
-    for (std::size_t b = 0; b < count; ++b) {
-      StepCandidates& sc = out[b];
-      const std::vector<Candidate>& em = scratch.emitted[b];
-      for (const Candidate& cand : em) ++sc.offsets[cand.terminal + 1];
-      for (std::size_t ti = 0; ti < term_count; ++ti) {
-        sc.offsets[ti + 1] += sc.offsets[ti];
-        scratch.cursors[ti] = sc.offsets[ti];
-      }
-      sc.cands.resize(em.size());
-      for (const Candidate& cand : em) {
-        sc.cands[scratch.cursors[cand.terminal]++] = cand;
-      }
-    }
+    // Counting sort, stable by terminal, so within a terminal the satellite-
+    // ascending emission order is preserved — exactly the pair-mask path's
+    // CSR. offsets[ti] serves as terminal ti's write cursor and ends at the
+    // start of ti + 1, so one shift restores it.
+    const std::vector<Candidate>& em = scratch.emitted;
+    for (const Candidate& cand : em) ++out.offsets[cand.terminal + 1];
+    for (std::size_t ti = 0; ti < term_count; ++ti) out.offsets[ti + 1] += out.offsets[ti];
+    out.cands.resize(em.size());
+    for (const Candidate& cand : em) out.cands[out.offsets[cand.terminal]++] = cand;
+    std::copy_backward(out.offsets.begin(), out.offsets.end() - 1, out.offsets.end());
+    out.offsets[0] = 0;
   } else {
     // Merge each terminal's own/spare top-K blocks back into satellite-
     // ascending order (the canonical candidate order phase 2's strict-max
     // tie-break expects).
     Candidate merged[128];  // cap <= 64 validated => 2 * cap <= 128
-    for (std::size_t b = 0; b < count; ++b) {
-      StepCandidates& sc = out[b];
-      const std::size_t row = b * term_count;
-      for (std::size_t ti = 0; ti < term_count; ++ti) {
-        const std::size_t idx = row + ti;
-        const std::size_t n_own = scratch.own_count[idx];
-        const std::size_t n_spare = scratch.spare_count[idx];
-        const std::size_t n = n_own + n_spare;
-        if (n != 0) {
-          const Candidate* block = scratch.blocks.data() + idx * 2 * cap;
-          std::copy_n(block, n_own, merged);
-          std::copy_n(block + cap, n_spare, merged + n_own);
-          std::sort(merged, merged + n,
-                    [](const Candidate& a, const Candidate& b_) {
-                      return a.satellite < b_.satellite;
-                    });
-          sc.cands.insert(sc.cands.end(), merged, merged + n);
-        }
-        sc.offsets[ti + 1] = static_cast<std::uint32_t>(sc.cands.size());
+    for (std::size_t ti = 0; ti < term_count; ++ti) {
+      const std::size_t n_own = scratch.own_count[ti];
+      const std::size_t n_spare = scratch.spare_count[ti];
+      const std::size_t n = n_own + n_spare;
+      if (n != 0) {
+        const Candidate* block = scratch.blocks.data() + ti * 2 * cap;
+        std::copy_n(block, n_own, merged);
+        std::copy_n(block + cap, n_spare, merged + n_own);
+        std::sort(merged, merged + n, [](const Candidate& a, const Candidate& b) {
+          return a.satellite < b.satellite;
+        });
+        out.cands.insert(out.cands.end(), merged, merged + n);
       }
+      out.offsets[ti + 1] = static_cast<std::uint32_t>(out.cands.size());
     }
   }
 
-  for (std::size_t b = 0; b < count; ++b) {
-    atomic_max(*ctx.step_high_water, out[b].cands.size());
-  }
+  atomic_max(*ctx.step_high_water, out.cands.size());
   ctx.pruned_pairs->fetch_add(pruned, std::memory_order_relaxed);
 }
 
@@ -827,12 +792,16 @@ void accumulate_step(const StepSchedule& schedule, std::span<const Terminal> ter
 // Metric handles for one run(), registered up front so the hot loops never
 // touch the registry's name tables. All handles are null-safe no-ops when no
 // registry is attached, so the uninstrumented overloads pay only dead
-// branches on null pointers.
+// branches on null pointers. Phase-1 metrics keep their meaning whatever the
+// task shape: chunk_seconds is observed once per producer task (one step on
+// the footprint stream, one chunk on pair masks), so its sum is the whole
+// phase-1 CPU time; candidates sums every step's list and
+// candidate_high_water is the largest single step's list, both exact.
 struct RunMetrics {
   obs::Histogram run_seconds;           // whole pipeline, one observation
   obs::Histogram propagate_seconds;     // shared ephemeris kernel
   obs::Histogram cull_seconds;          // pair masks + outages + party_avail
-  obs::Histogram chunk_seconds;         // per phase-1 chunk (worker threads)
+  obs::Histogram chunk_seconds;         // per phase-1 task (worker threads)
   obs::Histogram drain_seconds;         // per phase-2 chunk drain
   obs::Histogram candidates_per_step;   // candidate-list occupancy
   obs::Counter candidates;              // candidates emitted by phase 1
@@ -1383,9 +1352,14 @@ ScheduleResult BentPipeScheduler::run_impl(const orbit::TimeGrid& grid,
                             : std::size_t{4};
   }
   slots = std::max<std::size_t>(1, std::min(slots, chunk_total));
-  std::vector<std::vector<StepCandidates>> buffers(slots);
+  // Every slot holds a full chunk of step buffers; a short final chunk uses
+  // a prefix. The direct fill gets one scratch per (slot, step) so the step
+  // tasks of a chunk run concurrently without sharing state.
+  const std::size_t slot_steps = std::min(chunk_steps, step_total);
+  std::vector<std::vector<StepCandidates>> buffers(
+      slots, std::vector<StepCandidates>(slot_steps));
   std::vector<FillScratch> fill_scratch(direct ? 0 : slots);
-  std::vector<DirectScratch> direct_scratch(direct ? slots : 0);
+  std::vector<DirectScratch> direct_scratch(direct ? slots * slot_steps : 0);
 
   // RF interference is applied post-grant, symmetrically with run_reference.
   const bool rf_active = config_.rf != nullptr && config_.rf->any_interferer();
@@ -1413,25 +1387,30 @@ ScheduleResult BentPipeScheduler::run_impl(const orbit::TimeGrid& grid,
   std::uint64_t withheld_rejections = 0;
   std::uint64_t links_granted = 0;
 
-  const auto produce = [&](std::size_t chunk, std::size_t slot) {
+  // Phase-1 tasks: one step each on the footprint stream, one whole chunk on
+  // the pair-mask path. Each task writes only its own steps' buffers.
+  const auto produce = [&](std::size_t chunk, std::size_t task, std::size_t slot) {
     obs::ScopedTimer chunk_timer(rm.chunk_seconds);
     const std::size_t begin = chunk * chunk_steps;
     const std::size_t count = std::min(chunk_steps, step_total - begin);
-    buffers[slot].resize(count);
-    if (direct) {
-      fill_chunk_direct(dctx, begin, count, buffers[slot], direct_scratch[slot]);
-    } else {
-      fill_chunk(ctx, begin, count, buffers[slot], fill_scratch[slot]);
-    }
+    const std::span<StepCandidates> out(buffers[slot].data(), count);
     std::uint64_t emitted = 0;
-    for (const StepCandidates& sc : buffers[slot]) emitted += sc.cands.size();
+    if (direct) {
+      fill_step_direct(dctx, begin + task, out[task],
+                       direct_scratch[slot * slot_steps + task]);
+      emitted = out[task].cands.size();
+    } else {
+      fill_chunk(ctx, begin, count, out, fill_scratch[slot]);
+      for (const StepCandidates& sc : out) emitted += sc.cands.size();
+    }
     rm.candidates.add(emitted);
   };
 
   const auto consume = [&](std::size_t chunk, std::size_t slot) {
     obs::ScopedTimer drain_timer(rm.drain_seconds);
     const std::size_t begin = chunk * chunk_steps;
-    for (std::size_t b = 0; b < buffers[slot].size(); ++b) {
+    const std::size_t count = std::min(chunk_steps, step_total - begin);
+    for (std::size_t b = 0; b < count; ++b) {
       const std::size_t step = begin + b;
       rm.candidates_per_step.observe(static_cast<double>(buffers[slot][b].cands.size()));
       const std::span<const std::uint8_t> blocked =
@@ -1455,7 +1434,11 @@ ScheduleResult BentPipeScheduler::run_impl(const orbit::TimeGrid& grid,
     }
   };
 
-  util::stream_chunks(pool, chunk_total, slots, produce, consume);
+  if (direct) {
+    util::stream_chunks(pool, step_total, chunk_steps, slots, produce, consume);
+  } else {
+    util::stream_chunks(pool, chunk_total, 1, slots, produce, consume);
+  }
 
   policy.finish(result);
   rm.shed_terminal_steps.add(policy.shed_terminal_steps);

@@ -9,15 +9,15 @@
 // carried whose traffic for how long) is what core/ledger bills from.
 //
 // run() executes a two-phase pipeline:
-//   Phase 1 (parallel over step chunks): propagate every satellite once
-//   through the shared ephemeris kernel, cull (satellite, terminal) and
-//   (satellite, station) pairs with the coverage engine's conservative
-//   zenith-cone prefilter into StepMask bitmaps, and precompute per-step
-//   candidate lists — for each visible (terminal, satellite) pair the best
-//   same-party station with its end-to-end relay capacity. Link budgets are
-//   evaluated only for triples whose terminal leg AND some party station leg
-//   are simultaneously up (a word-level AND of pair masks), and each leg is
-//   computed once per pair instead of once per triple.
+//   Phase 1 (parallel over steps, streamed in step chunks): propagate every
+//   satellite once through the shared ephemeris kernel, cull (satellite,
+//   terminal) and (satellite, station) pairs with the coverage engine's
+//   conservative zenith-cone prefilter into StepMask bitmaps, and precompute
+//   per-step candidate lists — for each visible (terminal, satellite) pair
+//   the best same-party station with its end-to-end relay capacity. Link
+//   budgets are evaluated only for triples whose terminal leg AND some party
+//   station leg are simultaneously up (a word-level AND of pair masks), and
+//   each leg is computed once per pair instead of once per triple.
 //   Phase 2 (sequential, cheap): sweep steps in order consuming the
 //   candidate lists for beam allocation, spare-priority ordering,
 //   failure-forced detach, and re-acquisition backoff bookkeeping.
@@ -242,8 +242,9 @@ class BentPipeScheduler {
   // per-party usage. `party_count` sizes the aggregate vector;
   // terminals/satellites with owner >= party_count are rejected. Set
   // keep_steps to retain the per-step link lists. With a pool, phase 1
-  // (ephemerides, pair masks, candidate lists) runs parallel over step
-  // chunks; the result is bit-identical for any pool size, including none.
+  // (ephemerides, pair masks, candidate lists) runs parallel — over steps on
+  // the footprint stream, over step chunks on pair masks; the result is
+  // bit-identical for any pool size, including none.
   [[nodiscard]] ScheduleResult run(const orbit::TimeGrid& grid, std::size_t party_count,
                                    bool keep_steps = false,
                                    util::ThreadPool* pool = nullptr) const;

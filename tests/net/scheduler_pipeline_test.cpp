@@ -194,6 +194,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SchedulerPipeline, ::testing::Range<std::uint64_
 // bearing aggregates — regardless of chunk shape, slot count, or pool size.
 class SchedulerFootprintStream : public ::testing::TestWithParam<std::uint64_t> {};
 
+// Stream shapes the identity tests sweep.
+constexpr std::size_t kChunkSteps[] = {1, 8, 16, 64};
+constexpr std::size_t kPoolSizes[] = {2, 3, 4, 8};
+
 RandomFleet make_streamed_fleet(std::uint64_t seed) {
   RandomFleet f = make_fleet(seed);
   f.config.visibility_mode = VisibilityMode::kFootprintStream;
@@ -233,7 +237,10 @@ TEST_P(SchedulerFootprintStream, ChunkSlotAndPoolShapeNeverChangeResult) {
   const ScheduleResult expected =
       baseline.run(grid, f.party_count, &faults, /*keep_steps=*/true);
 
-  for (const std::size_t chunk_steps : {std::size_t{8}, std::size_t{16}}) {
+  // Phase-1 tasks are single steps: chunk_steps = 1 on the 90-step grid
+  // makes more chunks than 8 per thread, 64 leaves a short final chunk, and
+  // the 8-thread pool has more lanes than steps per chunk.
+  for (const std::size_t chunk_steps : kChunkSteps) {
     for (const std::size_t slots : {std::size_t{1}, std::size_t{2}, std::size_t{5}}) {
       SchedulerConfig config = f.config;
       config.stream_chunk_steps = chunk_steps;
@@ -243,7 +250,7 @@ TEST_P(SchedulerFootprintStream, ChunkSlotAndPoolShapeNeverChangeResult) {
           scheduler.run(grid, f.party_count, &faults, /*keep_steps=*/true);
       EXPECT_TRUE(serial == expected)
           << "chunk_steps=" << chunk_steps << " slots=" << slots;
-      for (const std::size_t threads : {2u, 3u}) {
+      for (const std::size_t threads : kPoolSizes) {
         util::ThreadPool pool(threads);
         const ScheduleResult pooled =
             scheduler.run(grid, f.party_count, &faults, /*keep_steps=*/true, &pool);
@@ -266,16 +273,20 @@ TEST_P(SchedulerFootprintStream, CandidateCapIsDeterministicAcrossShapes) {
   const BentPipeScheduler baseline(f.config, f.satellites, f.terminals, f.stations);
   const ScheduleResult expected = baseline.run(grid, f.party_count, /*keep_steps=*/true);
 
-  SchedulerConfig reshaped = f.config;
-  reshaped.stream_chunk_steps = 8;
-  reshaped.stream_slots = 3;
-  const BentPipeScheduler scheduler(reshaped, f.satellites, f.terminals, f.stations);
-  EXPECT_TRUE(scheduler.run(grid, f.party_count, /*keep_steps=*/true) == expected);
-  for (const std::size_t threads : {2u, 3u}) {
-    util::ThreadPool pool(threads);
-    const ScheduleResult pooled =
-        scheduler.run(grid, f.party_count, /*keep_steps=*/true, &pool);
-    EXPECT_TRUE(pooled == expected) << "pool=" << threads;
+  for (const std::size_t chunk_steps : kChunkSteps) {
+    SchedulerConfig reshaped = f.config;
+    reshaped.stream_chunk_steps = chunk_steps;
+    reshaped.stream_slots = 3;
+    const BentPipeScheduler scheduler(reshaped, f.satellites, f.terminals, f.stations);
+    EXPECT_TRUE(scheduler.run(grid, f.party_count, /*keep_steps=*/true) == expected)
+        << "chunk_steps=" << chunk_steps;
+    for (const std::size_t threads : kPoolSizes) {
+      util::ThreadPool pool(threads);
+      const ScheduleResult pooled =
+          scheduler.run(grid, f.party_count, /*keep_steps=*/true, &pool);
+      EXPECT_TRUE(pooled == expected)
+          << "chunk_steps=" << chunk_steps << " pool=" << threads;
+    }
   }
 }
 
