@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <cmath>
+#include <memory>
+#include <mutex>
 #include <stdexcept>
 
 #include "coverage/footprint_index.hpp"
@@ -64,6 +67,38 @@ void atomic_max(std::atomic<std::size_t>& target, std::size_t value) noexcept {
   }
 }
 
+// Wall time of one phase-1 task split by stage, accumulated locally and
+// observed once per task as sched.phase1_{downlink,query,scan,merge}_seconds.
+// The pair-mask fill has no index query and no merge; those stay zero there.
+struct Phase1Split {
+  double downlink = 0.0;  // satellite -> station legs
+  double query = 0.0;     // footprint-index cap queries
+  double scan = 0.0;      // exact re-test, uplink budget, candidate emission
+  double merge = 0.0;     // reorder of the emitted candidates to terminal-major
+};
+
+// Charges elapsed wall time to stages with one clock read per stage boundary
+// (per satellite or per stage, never per pair). A disabled clock — an
+// uninstrumented run — never reads the clock.
+class StageClock {
+ public:
+  explicit StageClock(bool enabled) : enabled_(enabled) {
+    if (enabled_) last_ = std::chrono::steady_clock::now();
+  }
+
+  // Adds the time since the previous lap (or construction) to `stage`.
+  void lap(double& stage) {
+    if (!enabled_) return;
+    const std::chrono::steady_clock::time_point now = std::chrono::steady_clock::now();
+    stage += std::chrono::duration<double>(now - last_).count();
+    last_ = now;
+  }
+
+ private:
+  bool enabled_;
+  std::chrono::steady_clock::time_point last_{};
+};
+
 // The 64-step mask word bits covering steps [chunk_begin, chunk_begin +
 // count). stream_chunk_steps is a validated power of two <= 64, so a chunk
 // never straddles a word; sub-word chunks shift and mask.
@@ -112,8 +147,8 @@ struct PipelineContext {
   std::atomic<std::size_t>* step_high_water = nullptr;
 };
 
-// Per-slot scratch for fill_chunk, reused across the chunks a stream slot
-// processes so the (step, satellite) downlink lists keep their capacity
+// Scratch for fill_chunk, borrowed by one producer task at a time and reused
+// by later ones, so the (step, satellite) downlink lists keep their capacity
 // instead of reallocating tens of thousands of small vectors per chunk.
 struct FillScratch {
   std::vector<std::vector<StationBudget>> downlinks;
@@ -127,7 +162,8 @@ struct FillScratch {
 // Builds the candidate lists of steps [chunk_begin, chunk_begin + count) into
 // out[0..count). Pure function of the context — no scheduling state.
 void fill_chunk(const PipelineContext& ctx, std::size_t chunk_begin, std::size_t count,
-                std::span<StepCandidates> out, FillScratch& scratch) {
+                std::span<StepCandidates> out, FillScratch& scratch, StageClock& clock,
+                Phase1Split& split) {
   const std::size_t sat_count = ctx.satellites.size();
   const std::size_t term_count = ctx.terminals.size();
   const std::size_t station_count = ctx.stations.size();
@@ -158,6 +194,7 @@ void fill_chunk(const PipelineContext& ctx, std::size_t chunk_begin, std::size_t
       }
     }
   }
+  clock.lap(split.downlink);
 
   // Uplink legs + combine, gated so a terminal-satellite budget is computed
   // only at steps where the pair is visible AND the terminal's party has a
@@ -209,6 +246,7 @@ void fill_chunk(const PipelineContext& ctx, std::size_t chunk_begin, std::size_t
   for (std::size_t b = 0; b < count; ++b) {
     atomic_max(*ctx.step_high_water, out[b].cands.size());
   }
+  clock.lap(split.scan);
 }
 
 // Read-only inputs of the footprint-stream (direct) fill: no terminal pair
@@ -217,19 +255,23 @@ void fill_chunk(const PipelineContext& ctx, std::size_t chunk_begin, std::size_t
 struct DirectContext {
   const SchedulerConfig& config;
   std::span<const constellation::Satellite> satellites;
-  std::span<const Terminal> terminals;
   std::span<const GroundStation> stations;
-  std::span<const orbit::TopocentricFrame> terminal_frames;
   std::span<const orbit::TopocentricFrame> station_frames;
   const orbit::EphemerisSet& ephemerides;
   const cov::FootprintIndex* index = nullptr;
+  // Terminal inputs gathered into index-slot order once per run, so the scan
+  // over a cap query's slot ranges reads them sequentially: slot j holds
+  // terminal index->site_ids()[j].
+  std::span<const std::uint32_t> slot_party;
+  std::span<const orbit::TopocentricFrame> slot_frames;
+  std::span<const HopEvaluator> slot_uplink_hops;
   // Orbital-shell shards (contiguous, ascending) and one conservative
   // footprint cone per shard from the shard's radius extremes.
   std::span<const constellation::ShellShard> shards;
   std::span<const cov::FootprintCone> shard_cones;
   const cov::PackedMasks* station_vis = nullptr;
   const cov::PackedMasks* party_avail = nullptr;
-  std::span<const HopEvaluator> uplink_hops;
+  std::size_t party_count = 0;
   std::span<const HopEvaluator> downlink_hops;
   bool regenerative = false;
   double sin_mask = 0.0;
@@ -241,34 +283,45 @@ struct DirectContext {
   std::atomic<std::uint64_t>* pruned_pairs = nullptr;
 };
 
-// Per-task scratch of the direct fill: one per (slot, step-in-chunk), so the
-// tasks of one chunk never share state and each reuses its buffers' capacity
-// across the chunks its slot processes.
+// A capped-mode top-K entry; its terminal is implied by the slot whose block
+// holds it. No member initialisers, so blocks allocate without a zero fill
+// and pages no step touches are never faulted in.
+struct TopKEntry {
+  std::uint32_t satellite;
+  std::uint32_t station;
+  double capacity_bps;
+};
+
+// Scratch of the direct fill. Each producer task borrows one for its
+// duration, so concurrent tasks never share state and later tasks reuse the
+// buffers' capacity and already-faulted pages.
 struct DirectScratch {
   std::vector<StationBudget> downlinks;                // current satellite
   std::vector<cov::FootprintIndex::Range> ranges;
   // Exact mode: emission in (satellite-ascending, site-bucket) order,
   // counting-sorted into terminal-major afterwards.
   std::vector<Candidate> emitted;
-  // Capped mode: per-terminal blocks of 2*cap slots — own-satellite top-K in
-  // the front half, spare top-K in the back half, each kept sorted by
-  // capacity descending (stable: earlier = lower satellite index).
-  std::vector<Candidate> blocks;
+  // Capped mode, indexed by index slot: blocks of 2*cap entries per slot —
+  // own-satellite top-K in the front half, spare top-K in the back half,
+  // each kept sorted by capacity descending (stable: earlier = lower
+  // satellite index). Only the first own_count / spare_count entries of a
+  // half are ever read, so the blocks need no initialisation.
+  std::unique_ptr<TopKEntry[]> blocks;
   std::vector<std::uint8_t> own_count;
   std::vector<std::uint8_t> spare_count;
 };
 
-// Keeps region[0..n) the top-`cap` candidates by capacity (descending,
-// stable so the earlier — lower-satellite — entry wins ties).
-void top_k_insert(Candidate* region, std::uint8_t& n, std::size_t cap,
-                  const Candidate& cand) {
-  if (n >= cap && !(cand.capacity_bps > region[cap - 1].capacity_bps)) return;
+// Keeps region[0..n) the top-`cap` entries by capacity (descending, stable
+// so the earlier — lower-satellite — entry wins ties).
+void top_k_insert(TopKEntry* region, std::uint8_t& n, std::size_t cap,
+                  const TopKEntry& entry) {
+  if (n >= cap && !(entry.capacity_bps > region[cap - 1].capacity_bps)) return;
   std::size_t pos = n < cap ? n : cap - 1;
-  while (pos > 0 && region[pos - 1].capacity_bps < cand.capacity_bps) {
+  while (pos > 0 && region[pos - 1].capacity_bps < entry.capacity_bps) {
     region[pos] = region[pos - 1];
     --pos;
   }
-  region[pos] = cand;
+  region[pos] = entry;
   if (n < cap) ++n;
 }
 
@@ -280,10 +333,13 @@ void top_k_insert(Candidate* region, std::uint8_t& n, std::size_t cap,
 // output is bit-identical to the pair-mask path: the index + cone only prune
 // (conservative superset of exact visibility), survivors run the same
 // visible_above and the same hop arithmetic on the same table positions.
+// The slot-order inputs are copies of the per-terminal ones, and each
+// terminal's top-K block still sees its satellites in ascending order, so
+// reading them by slot changes no value and no insertion order.
 void fill_step_direct(const DirectContext& ctx, std::size_t step, StepCandidates& out,
-                      DirectScratch& scratch) {
+                      DirectScratch& scratch, StageClock& clock, Phase1Split& split) {
   const std::size_t sat_count = ctx.satellites.size();
-  const std::size_t term_count = ctx.terminals.size();
+  const std::size_t term_count = ctx.slot_party.size();
   const std::size_t station_count = ctx.stations.size();
   const std::size_t cap = ctx.cap;
 
@@ -291,7 +347,9 @@ void fill_step_direct(const DirectContext& ctx, std::size_t step, StepCandidates
   if (cap == 0) {
     scratch.emitted.clear();
   } else {
-    scratch.blocks.resize(term_count * 2 * cap);
+    if (!scratch.blocks) {
+      scratch.blocks = std::make_unique_for_overwrite<TopKEntry[]>(term_count * 2 * cap);
+    }
     scratch.own_count.assign(term_count, 0);
     scratch.spare_count.assign(term_count, 0);
   }
@@ -306,6 +364,17 @@ void fill_step_direct(const DirectContext& ctx, std::size_t step, StepCandidates
     const constellation::ShellShard& shard = ctx.shards[shard_i];
     const cov::FootprintCone& cone = ctx.shard_cones[shard_i];
     for (std::size_t si = shard.begin; si < shard.end; ++si) {
+      // A satellite that reaches no station of any party can carry no
+      // candidate (party_avail is the union of its station legs): one test
+      // per party instead of one mask read per station.
+      bool reachable = false;
+      for (std::size_t p = 0; p < ctx.party_count && !reachable; ++p) {
+        reachable = ctx.party_avail->test(p * sat_count + si, step);
+      }
+      if (!reachable) {
+        clock.lap(split.downlink);
+        continue;
+      }
       const util::Vec3 pos = ctx.ephemerides.table(si).position_ecef(step);
 
       // Downlink budgets for this satellite, station order ascending (the
@@ -319,12 +388,11 @@ void fill_step_direct(const DirectContext& ctx, std::size_t step, StepCandidates
             {static_cast<std::uint32_t>(gi), snr,
              ctx.regenerative ? ctx.downlink_hops[gi].shannon_bps(snr) : 0.0});
       }
-      // No reachable station: no candidate can form (party_avail is the
-      // union of these legs), skip the terminal scan.
-      if (scratch.downlinks.empty()) continue;
+      clock.lap(split.downlink);
 
       scratch.ranges.clear();
       ctx.index->query_cap(pos, cone.psi_rad, scratch.ranges);
+      clock.lap(split.query);
 
       std::size_t visited = 0;
       for (const cov::FootprintIndex::Range& range : scratch.ranges) {
@@ -335,15 +403,14 @@ void fill_step_direct(const DirectContext& ctx, std::size_t step, StepCandidates
           if (ux[j] * pos.x + uy[j] * pos.y + uz[j] * pos.z < cone.dot_threshold) {
             continue;
           }
-          const std::uint32_t ti = ids[j];
-          const std::uint32_t party = ctx.terminals[ti].owner_party;
+          const std::uint32_t party = ctx.slot_party[j];
           if (!ctx.party_avail->test(party * sat_count + si, step)) continue;
-          if (!ctx.terminal_frames[ti].visible_above(pos, ctx.sin_mask)) continue;
+          const orbit::TopocentricFrame& frame = ctx.slot_frames[j];
+          if (!frame.visible_above(pos, ctx.sin_mask)) continue;
 
-          const double up_snr =
-              ctx.uplink_hops[ti].snr_linear(ctx.terminal_frames[ti].range_m(pos));
+          const double up_snr = ctx.slot_uplink_hops[j].snr_linear(frame.range_m(pos));
           const double up_shannon =
-              ctx.regenerative ? ctx.uplink_hops[ti].shannon_bps(up_snr) : 0.0;
+              ctx.regenerative ? ctx.slot_uplink_hops[j].shannon_bps(up_snr) : 0.0;
           double best_capacity = 0.0;
           std::uint32_t best_gs = 0;
           bool found = false;
@@ -360,19 +427,20 @@ void fill_step_direct(const DirectContext& ctx, std::size_t step, StepCandidates
             }
           }
           if (!found) continue;
-          const Candidate cand{ti, static_cast<std::uint32_t>(si), best_gs,
-                               best_capacity};
           if (cap == 0) {
-            scratch.emitted.push_back(cand);
+            scratch.emitted.push_back(
+                {ids[j], static_cast<std::uint32_t>(si), best_gs, best_capacity});
           } else {
             const bool spare = ctx.satellites[si].owner_party != party;
-            Candidate* region = scratch.blocks.data() + ti * 2 * cap + (spare ? cap : 0);
-            top_k_insert(region, spare ? scratch.spare_count[ti] : scratch.own_count[ti],
-                         cap, cand);
+            TopKEntry* region =
+                scratch.blocks.get() + std::size_t{j} * 2 * cap + (spare ? cap : 0);
+            top_k_insert(region, spare ? scratch.spare_count[j] : scratch.own_count[j],
+                         cap, {static_cast<std::uint32_t>(si), best_gs, best_capacity});
           }
         }
       }
       pruned += term_count - visited;
+      clock.lap(split.scan);
     }
   }
 
@@ -389,26 +457,35 @@ void fill_step_direct(const DirectContext& ctx, std::size_t step, StepCandidates
     std::copy_backward(out.offsets.begin(), out.offsets.end() - 1, out.offsets.end());
     out.offsets[0] = 0;
   } else {
-    // Merge each terminal's own/spare top-K blocks back into satellite-
+    // Each terminal's own/spare top-K blocks, merged into satellite-
     // ascending order (the canonical candidate order phase 2's strict-max
-    // tie-break expects).
-    Candidate merged[128];  // cap <= 64 validated => 2 * cap <= 128
-    for (std::size_t ti = 0; ti < term_count; ++ti) {
-      const std::size_t n_own = scratch.own_count[ti];
-      const std::size_t n_spare = scratch.spare_count[ti];
-      const std::size_t n = n_own + n_spare;
-      if (n != 0) {
-        const Candidate* block = scratch.blocks.data() + ti * 2 * cap;
-        std::copy_n(block, n_own, merged);
-        std::copy_n(block + cap, n_spare, merged + n_own);
-        std::sort(merged, merged + n, [](const Candidate& a, const Candidate& b) {
-          return a.satellite < b.satellite;
-        });
-        out.cands.insert(out.cands.end(), merged, merged + n);
+    // tie-break expects). Blocks are read in slot order and each lands in
+    // its terminal's range of the terminal-major list, whose offsets come
+    // from the per-slot counts first.
+    for (std::size_t j = 0; j < term_count; ++j) {
+      out.offsets[ids[j] + 1] = std::uint32_t{scratch.own_count[j]} + scratch.spare_count[j];
+    }
+    for (std::size_t ti = 0; ti < term_count; ++ti) out.offsets[ti + 1] += out.offsets[ti];
+    out.cands.resize(out.offsets[term_count]);
+    for (std::size_t j = 0; j < term_count; ++j) {
+      const std::size_t n_own = scratch.own_count[j];
+      const std::size_t n = n_own + scratch.spare_count[j];
+      if (n == 0) continue;
+      const TopKEntry* block = scratch.blocks.get() + j * 2 * cap;
+      Candidate* dst = out.cands.data() + out.offsets[ids[j]];
+      for (std::size_t k = 0; k < n; ++k) {
+        // Own entries sit at block[0..n_own), spare ones at block[cap..).
+        const TopKEntry& e = block[k < n_own ? k : cap + k - n_own];
+        std::size_t pos = k;
+        while (pos > 0 && dst[pos - 1].satellite > e.satellite) {
+          dst[pos] = dst[pos - 1];
+          --pos;
+        }
+        dst[pos] = {ids[j], e.satellite, e.station, e.capacity_bps};
       }
-      out.offsets[ti + 1] = static_cast<std::uint32_t>(out.cands.size());
     }
   }
+  clock.lap(split.merge);
 
   atomic_max(*ctx.step_high_water, out.cands.size());
   ctx.pruned_pairs->fetch_add(pruned, std::memory_order_relaxed);
@@ -444,14 +521,17 @@ bool spare_excluded(const SchedulerConfig& config, std::uint32_t party) noexcept
 // schedule_step exactly: same two passes, same strict-> maximisation, same
 // tie-breaks — a candidate list entry stands in for the (si, best-station)
 // column of the reference's joint scan, so the selected links and their
-// order are bit-identical. `beam_rejections` (nullable) counts candidates
-// skipped because their satellite had no beam left — the contention signal
-// the obs layer reports.
+// order are bit-identical. `beam_rejections` counts candidates skipped
+// because their satellite had no beam left — the contention signal the obs
+// layer reports — and `withheld_rejections` spare candidates skipped because
+// the remaining beams are withheld. Reads nothing but this step's candidates
+// and the arguments, so with no faults, blocks or sticky state it may run
+// for any step at any time.
 StepSchedule consume_step(const ConsumeContext& ctx, const StepCandidates& sc,
                           std::size_t step, const fault::FaultTimeline* faults,
                           std::span<const std::uint8_t> blocked_terminals,
-                          ConsumeScratch& scratch, std::uint64_t* beam_rejections,
-                          std::uint64_t* withheld_rejections,
+                          ConsumeScratch& scratch, std::uint64_t& beam_rejections,
+                          std::uint64_t& withheld_rejections,
                           std::span<const std::uint32_t> sticky_prev = {},
                           double sticky_margin = 0.0) {
   StepSchedule schedule;
@@ -500,9 +580,9 @@ StepSchedule consume_step(const ConsumeContext& ctx, const StepCandidates& sc,
         const int spare_floor = spare_pass ? ctx.spare_reserved[cand.satellite] : 0;
         if (beams_left[cand.satellite] <= spare_floor) {
           if (beams_left[cand.satellite] <= 0) {
-            if (beam_rejections != nullptr) ++*beam_rejections;
-          } else if (withheld_rejections != nullptr) {
-            ++*withheld_rejections;
+            ++beam_rejections;
+          } else {
+            ++withheld_rejections;
           }
           continue;
         }
@@ -686,6 +766,11 @@ struct PolicyDriver {
     return shed_blocked;
   }
 
+  // True when a step's grant depends on that step's candidates alone: no
+  // faults means no detach, backoff or shedding state, and no hysteresis
+  // means no sticky satellites. Only then may steps grant out of order.
+  [[nodiscard]] bool step_local() const { return !faulted && !sticky; }
+
   [[nodiscard]] std::span<const std::uint32_t> sticky_prev() const {
     return sticky ? std::span<const std::uint32_t>(detach.prev_satellite)
                   : std::span<const std::uint32_t>{};
@@ -792,16 +877,32 @@ void accumulate_step(const StepSchedule& schedule, std::span<const Terminal> ter
 // Metric handles for one run(), registered up front so the hot loops never
 // touch the registry's name tables. All handles are null-safe no-ops when no
 // registry is attached, so the uninstrumented overloads pay only dead
-// branches on null pointers. Phase-1 metrics keep their meaning whatever the
-// task shape: chunk_seconds is observed once per producer task (one step on
-// the footprint stream, one chunk on pair masks), so its sum is the whole
-// phase-1 CPU time; candidates sums every step's list and
-// candidate_high_water is the largest single step's list, both exact.
+// branches on null pointers. Metrics keep their meaning whatever the task
+// shape and wherever the grant runs:
+//  * chunk_seconds is observed once per producer task (one step on the
+//    footprint stream, one chunk on pair masks) and times the whole task,
+//    including a step-local grant run inside it, so its sum is all the CPU
+//    time spent off the consumer thread;
+//  * drain_seconds times the sequential, in-order consumer per chunk, so
+//    chunk_seconds + drain_seconds covers phase 1 and phase 2 exactly once;
+//  * the phase1_{downlink,query,scan,merge} timers split a task's fill by
+//    stage, accumulated in the task and observed once per task;
+//  * grant_seconds is observed once per step wherever consume_step runs —
+//    in the producer task on step-local runs (no faults, no hysteresis,
+//    counted by step_local_grant_steps), in the consumer otherwise;
+//  * candidates, beam_rejections, withheld_rejections and links_granted are
+//    exact integer sums over steps, and candidate_high_water is the largest
+//    single step's list.
 struct RunMetrics {
   obs::Histogram run_seconds;           // whole pipeline, one observation
   obs::Histogram propagate_seconds;     // shared ephemeris kernel
   obs::Histogram cull_seconds;          // pair masks + outages + party_avail
   obs::Histogram chunk_seconds;         // per phase-1 task (worker threads)
+  obs::Histogram downlink_seconds;      // per task: satellite -> station legs
+  obs::Histogram query_seconds;         // per task: footprint-index cap queries
+  obs::Histogram scan_seconds;          // per task: exact re-test, uplink, top-K
+  obs::Histogram merge_seconds;         // per task: terminal-major reorder
+  obs::Histogram grant_seconds;         // per step: consume_step
   obs::Histogram drain_seconds;         // per phase-2 chunk drain
   obs::Histogram candidates_per_step;   // candidate-list occupancy
   obs::Counter candidates;              // candidates emitted by phase 1
@@ -812,6 +913,7 @@ struct RunMetrics {
   obs::Counter withheld_rejections;     // spare candidates skipped: beams withheld
   obs::Counter links_granted;
   obs::Counter steps;
+  obs::Counter step_local_grant_steps;  // steps granted inside their producer task
   obs::Counter failure_forced_detaches;
   obs::Counter shed_terminal_steps;    // terminals shed by the degradation policy
   obs::Counter grant_flaps;            // SLO-tracked serving-satellite changes
@@ -826,6 +928,11 @@ struct RunMetrics {
     m.propagate_seconds = registry->histogram("sched.propagate_seconds");
     m.cull_seconds = registry->histogram("sched.cull_seconds");
     m.chunk_seconds = registry->histogram("sched.phase1_chunk_seconds");
+    m.downlink_seconds = registry->histogram("sched.phase1_downlink_seconds");
+    m.query_seconds = registry->histogram("sched.phase1_query_seconds");
+    m.scan_seconds = registry->histogram("sched.phase1_scan_seconds");
+    m.merge_seconds = registry->histogram("sched.phase1_merge_seconds");
+    m.grant_seconds = registry->histogram("sched.grant_seconds");
     m.drain_seconds = registry->histogram("sched.phase2_drain_seconds");
     m.candidates_per_step = registry->histogram(
         "sched.candidates_per_step", obs::MetricsRegistry::default_count_bounds());
@@ -837,6 +944,7 @@ struct RunMetrics {
     m.withheld_rejections = registry->counter("sched.spare_withheld_rejections");
     m.links_granted = registry->counter("sched.links_granted");
     m.steps = registry->counter("sched.steps");
+    m.step_local_grant_steps = registry->counter("sched.step_local_grant_steps");
     m.failure_forced_detaches = registry->counter("sched.failure_forced_detaches");
     m.shed_terminal_steps = registry->counter("sched.shed_terminal_steps");
     m.grant_flaps = registry->counter("sched.grant_flaps");
@@ -1302,6 +1410,22 @@ ScheduleResult BentPipeScheduler::run_impl(const orbit::TimeGrid& grid,
     downlink_hops.push_back(HopEvaluator::make(config_.transponder.transmit, station.radio));
   }
 
+  // Footprint-stream terminal inputs in index-slot order (see DirectContext).
+  std::vector<std::uint32_t> slot_party;
+  std::vector<orbit::TopocentricFrame> slot_frames;
+  std::vector<HopEvaluator> slot_uplink_hops;
+  if (direct) {
+    const std::span<const std::uint32_t> ids = footprint_index.site_ids();
+    slot_party.reserve(term_count);
+    slot_frames.reserve(term_count);
+    slot_uplink_hops.reserve(term_count);
+    for (std::size_t j = 0; j < ids.size(); ++j) {
+      slot_party.push_back(terminals_[ids[j]].owner_party);
+      slot_frames.push_back(terminal_frames_[ids[j]]);
+      slot_uplink_hops.push_back(uplink_hops[ids[j]]);
+    }
+  }
+
   std::atomic<std::size_t> step_high_water{0};
   const bool regenerative = config_.relay_mode == RelayMode::kRegenerative;
   const PipelineContext ctx{config_,        satellites_,      terminals_,
@@ -1311,17 +1435,18 @@ ScheduleResult BentPipeScheduler::run_impl(const orbit::TimeGrid& grid,
                             regenerative,   &step_high_water};
   const DirectContext dctx{config_,
                            satellites_,
-                           terminals_,
                            stations_,
-                           terminal_frames_,
                            station_frames_,
                            eph,
                            &footprint_index,
+                           slot_party,
+                           slot_frames,
+                           slot_uplink_hops,
                            shards,
                            shard_cones,
                            &station_vis,
                            &party_avail,
-                           uplink_hops,
+                           party_count,
                            downlink_hops,
                            regenerative,
                            sin_mask_,
@@ -1352,15 +1477,6 @@ ScheduleResult BentPipeScheduler::run_impl(const orbit::TimeGrid& grid,
                             : std::size_t{4};
   }
   slots = std::max<std::size_t>(1, std::min(slots, chunk_total));
-  // Every slot holds a full chunk of step buffers; a short final chunk uses
-  // a prefix. The direct fill gets one scratch per (slot, step) so the step
-  // tasks of a chunk run concurrently without sharing state.
-  const std::size_t slot_steps = std::min(chunk_steps, step_total);
-  std::vector<std::vector<StepCandidates>> buffers(
-      slots, std::vector<StepCandidates>(slot_steps));
-  std::vector<FillScratch> fill_scratch(direct ? 0 : slots);
-  std::vector<DirectScratch> direct_scratch(direct ? slots * slot_steps : 0);
-
   // RF interference is applied post-grant, symmetrically with run_reference.
   const bool rf_active = config_.rf != nullptr && config_.rf->any_interferer();
   std::vector<HopEvaluator> jam_hops;
@@ -1380,6 +1496,36 @@ ScheduleResult BentPipeScheduler::run_impl(const orbit::TimeGrid& grid,
   const double dt_step = grid.step_seconds;
   PolicyDriver policy(config_, satellites_, terminals_, faults, party_count,
                       dt_step);
+  // Step-local grants run inside the producer task that built the step's
+  // candidates, while they are still in that core's cache; otherwise the
+  // in-order consumer grants, after the policy's pre-step bookkeeping. The
+  // condition depends on the policy alone, never on the pool.
+  const bool step_local = policy.step_local();
+
+  // A slot holds one chunk's grants (a short final chunk uses a prefix) and,
+  // when the consumer grants, the chunk's candidates until it has. On
+  // step-local runs candidates never leave the producer task that built them.
+  const std::size_t slot_steps = std::min(chunk_steps, step_total);
+  struct StepGrant {
+    StepSchedule schedule;
+    std::uint64_t beam_rejections = 0;
+    std::uint64_t withheld_rejections = 0;
+  };
+  std::vector<std::vector<StepGrant>> grants(slots, std::vector<StepGrant>(slot_steps));
+  std::vector<std::vector<StepCandidates>> buffers(
+      step_local ? 0 : slots, std::vector<StepCandidates>(slot_steps));
+  // Producer scratch is borrowed for one task at a time rather than owned
+  // per (slot, step): no more exist than tasks ever ran at once, and a
+  // lane's next task reuses the pages its previous one already faulted in.
+  struct TaskScratch {
+    FillScratch fill;
+    DirectScratch direct;
+    std::vector<StepCandidates> candidates;  // step-local runs only
+    ConsumeScratch consume;
+  };
+  std::mutex scratch_mutex;
+  std::vector<std::unique_ptr<TaskScratch>> idle_scratch;
+
   ConsumeScratch consume_scratch;
   rm.stream_slots.set(static_cast<double>(slots));
   rm.threads.set(static_cast<double>(pool != nullptr ? pool->thread_count() : 1));
@@ -1387,23 +1533,71 @@ ScheduleResult BentPipeScheduler::run_impl(const orbit::TimeGrid& grid,
   std::uint64_t withheld_rejections = 0;
   std::uint64_t links_granted = 0;
 
+  // On step-local runs `blocked`, sticky_prev() and sticky_margin() are all
+  // empty, so a producer task reads no policy state the consumer writes.
+  const auto grant = [&](std::size_t step, const StepCandidates& sc,
+                         std::span<const std::uint8_t> blocked, ConsumeScratch& scratch,
+                         StepGrant& out) {
+    obs::ScopedTimer grant_timer(rm.grant_seconds);
+    out.beam_rejections = 0;
+    out.withheld_rejections = 0;
+    out.schedule = consume_step(cctx, sc, step, faults, blocked, scratch,
+                                out.beam_rejections, out.withheld_rejections,
+                                policy.sticky_prev(), policy.sticky_margin());
+  };
+
   // Phase-1 tasks: one step each on the footprint stream, one whole chunk on
   // the pair-mask path. Each task writes only its own steps' buffers.
+  const bool timed = metrics != nullptr;
   const auto produce = [&](std::size_t chunk, std::size_t task, std::size_t slot) {
     obs::ScopedTimer chunk_timer(rm.chunk_seconds);
+    StageClock clock(timed);
+    Phase1Split split;
+    std::unique_ptr<TaskScratch> scratch;
+    {
+      const std::lock_guard lock(scratch_mutex);
+      if (!idle_scratch.empty()) {
+        scratch = std::move(idle_scratch.back());
+        idle_scratch.pop_back();
+      }
+    }
+    if (!scratch) scratch = std::make_unique<TaskScratch>();
+
     const std::size_t begin = chunk * chunk_steps;
     const std::size_t count = std::min(chunk_steps, step_total - begin);
-    const std::span<StepCandidates> out(buffers[slot].data(), count);
-    std::uint64_t emitted = 0;
-    if (direct) {
-      fill_step_direct(dctx, begin + task, out[task],
-                       direct_scratch[slot * slot_steps + task]);
-      emitted = out[task].cands.size();
+    // This task's steps are chunk steps [first, first + n).
+    const std::size_t first = direct ? task : 0;
+    const std::size_t n = direct ? 1 : count;
+    std::span<StepCandidates> out;
+    if (step_local) {
+      if (scratch->candidates.size() < n) scratch->candidates.resize(n);
+      out = {scratch->candidates.data(), n};
     } else {
-      fill_chunk(ctx, begin, count, out, fill_scratch[slot]);
-      for (const StepCandidates& sc : out) emitted += sc.cands.size();
+      out = {buffers[slot].data() + first, n};
+    }
+    if (direct) {
+      fill_step_direct(dctx, begin + first, out[0], scratch->direct, clock, split);
+    } else {
+      fill_chunk(ctx, begin, count, out, scratch->fill, clock, split);
+    }
+    std::uint64_t emitted = 0;
+    for (const StepCandidates& sc : out) {
+      emitted += sc.cands.size();
+      rm.candidates_per_step.observe(static_cast<double>(sc.cands.size()));
     }
     rm.candidates.add(emitted);
+    rm.downlink_seconds.observe(split.downlink);
+    rm.query_seconds.observe(split.query);
+    rm.scan_seconds.observe(split.scan);
+    rm.merge_seconds.observe(split.merge);
+    if (step_local) {
+      for (std::size_t k = 0; k < n; ++k) {
+        grant(begin + first + k, out[k], {}, scratch->consume, grants[slot][first + k]);
+      }
+    }
+
+    const std::lock_guard lock(scratch_mutex);
+    idle_scratch.push_back(std::move(scratch));
   };
 
   const auto consume = [&](std::size_t chunk, std::size_t slot) {
@@ -1412,14 +1606,12 @@ ScheduleResult BentPipeScheduler::run_impl(const orbit::TimeGrid& grid,
     const std::size_t count = std::min(chunk_steps, step_total - begin);
     for (std::size_t b = 0; b < count; ++b) {
       const std::size_t step = begin + b;
-      rm.candidates_per_step.observe(static_cast<double>(buffers[slot][b].cands.size()));
-      const std::span<const std::uint8_t> blocked =
-          policy.pre_step(step, dt_step, result);
-      StepSchedule schedule = consume_step(
-          cctx, buffers[slot][b], step, faults, blocked, consume_scratch,
-          metrics != nullptr ? &beam_rejections : nullptr,
-          metrics != nullptr ? &withheld_rejections : nullptr,
-          policy.sticky_prev(), policy.sticky_margin());
+      StepGrant& granted = grants[slot][b];
+      if (!step_local) {
+        grant(step, buffers[slot][b], policy.pre_step(step, dt_step, result),
+              consume_scratch, granted);
+      }
+      StepSchedule& schedule = granted.schedule;
       policy.post_step(schedule);
       if (rf_active) {
         for (std::size_t si = 0; si < sat_count; ++si) {
@@ -1430,6 +1622,8 @@ ScheduleResult BentPipeScheduler::run_impl(const orbit::TimeGrid& grid,
       }
       accumulate_step(schedule, terminals_, satellites_, dt_step, result);
       links_granted += schedule.links.size();
+      beam_rejections += granted.beam_rejections;
+      withheld_rejections += granted.withheld_rejections;
       if (keep_steps) result.steps.push_back(std::move(schedule));
     }
   };
@@ -1444,6 +1638,7 @@ ScheduleResult BentPipeScheduler::run_impl(const orbit::TimeGrid& grid,
   rm.shed_terminal_steps.add(policy.shed_terminal_steps);
   if (result.slo.has_value()) rm.grant_flaps.add(result.slo->grant_flaps);
   rm.steps.add(step_total);
+  rm.step_local_grant_steps.add(step_local ? step_total : 0);
   rm.beam_rejections.add(beam_rejections);
   rm.withheld_rejections.add(withheld_rejections);
   rm.links_granted.add(links_granted);

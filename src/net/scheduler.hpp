@@ -18,9 +18,12 @@
 //   budgets are evaluated only for triples whose terminal leg AND some party
 //   station leg are simultaneously up (a word-level AND of pair masks), and
 //   each leg is computed once per pair instead of once per triple.
-//   Phase 2 (sequential, cheap): sweep steps in order consuming the
+//   Phase 2 (in step order, cheap): sweep steps in order consuming the
 //   candidate lists for beam allocation, spare-priority ordering,
-//   failure-forced detach, and re-acquisition backoff bookkeeping.
+//   failure-forced detach, and re-acquisition backoff bookkeeping. With no
+//   faults and no spare hysteresis a step's grant depends on that step
+//   alone, so each phase-1 task grants its own steps and the in-order sweep
+//   only folds the grants into the result.
 // The result is bit-identical to run_reference — the retained scalar
 // per-triple scan — on both the faulted and unfaulted paths.
 #pragma once
@@ -251,7 +254,8 @@ class BentPipeScheduler {
 
   // RunContext entry point — the preferred API. The context supplies the
   // pool, the (optional) fault timeline and the metrics registry in one
-  // argument; phase timings (propagate / cull / chunk fill / wave drain),
+  // argument; phase timings (propagate / cull / chunk fill and its stages /
+  // grant / wave drain),
   // candidate-list occupancy, beam-allocation rejections and fault-forced
   // detaches land in context.metrics() under the "sched." prefix. The
   // returned ScheduleResult is bit-identical to

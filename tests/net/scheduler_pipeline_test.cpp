@@ -5,11 +5,17 @@
 // ordering, faulted and unfaulted, for every thread-pool size.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <stdexcept>
 
+#include "constellation/population.hpp"
+#include "coverage/footprint_index.hpp"
 #include "fault/timeline.hpp"
 #include "net/scheduler.hpp"
+#include "obs/metrics.hpp"
 #include "orbit/geodesy.hpp"
+#include "sim/run_context.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -292,6 +298,160 @@ TEST_P(SchedulerFootprintStream, CandidateCapIsDeterministicAcrossShapes) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SchedulerFootprintStream,
                          ::testing::Range<std::uint64_t>(0, 8));
+
+// A population-sampled fleet: 320 terminals clustered around the paper's
+// cities, so the footprint index's slot order is far from terminal-id order,
+// with per-terminal radios, on a Walker shell with 2 beams per satellite
+// (contended grants). Party 0 withholds half its beams from the commons,
+// party 2 is barred from it, and SLO observation is on, so the withheld
+// counter and SLO stats are live.
+RandomFleet make_population_fleet() {
+  RandomFleet f;
+  f.party_count = 3;
+  f.config.visibility_mode = VisibilityMode::kFootprintStream;
+  f.config.beams_per_satellite = 2;
+  f.config.stream_chunk_steps = 8;
+  f.config.spare_withheld_fraction = {0.5};
+  f.config.spare_exclude_party = {0, 0, 1};
+  f.config.degradation.slo_window_steps = 10;
+
+  constellation::WalkerShell shell;
+  shell.plane_count = 12;
+  shell.sats_per_plane = 10;
+  f.satellites = shell.build(kEpoch);
+  for (std::size_t i = 0; i < f.satellites.size(); ++i) {
+    f.satellites[i].owner_party = static_cast<std::uint32_t>(i % f.party_count);
+  }
+  // Every tenth satellite flies twice (same orbit, same owner), so exact
+  // capacity ties occur and the satellite-ascending tie-break is exercised.
+  const std::size_t distinct = f.satellites.size();
+  for (std::size_t i = 0; i < distinct; i += 10) {
+    Satellite twin = f.satellites[i];
+    twin.id = static_cast<constellation::SatelliteId>(f.satellites.size());
+    f.satellites.push_back(twin);
+  }
+  const constellation::PopulationSampler sampler;
+  const std::vector<orbit::Geodetic> terminal_sites = sampler.sample(320, 41);
+  for (std::size_t i = 0; i < terminal_sites.size(); ++i) {
+    Terminal t;
+    t.id = static_cast<TerminalId>(i);
+    t.owner_party = static_cast<std::uint32_t>(i % f.party_count);
+    t.location = terminal_sites[i];
+    // Per-terminal transmit power, so each slot's uplink budget is its own.
+    t.radio = default_user_terminal();
+    t.radio.transmit_power_dbw += 0.5 * static_cast<double>(i % 7);
+    t.demand_bps = 50e6;
+    f.terminals.push_back(t);
+  }
+  const std::vector<orbit::Geodetic> station_sites = sampler.sample(24, 42);
+  for (std::size_t i = 0; i < station_sites.size(); ++i) {
+    GroundStation gs;
+    gs.id = static_cast<GroundStationId>(i);
+    gs.owner_party = static_cast<std::uint32_t>(i % f.party_count);
+    gs.location = station_sites[i];
+    gs.radio = default_ground_station();
+    f.stations.push_back(gs);
+  }
+  return f;
+}
+
+// Pool sizes the population-fleet tests sweep; 0 runs with no pool at all.
+constexpr std::size_t kPopulationPools[] = {0, 1, 2, 4, 8};
+
+ScheduleResult run_with_pool(const BentPipeScheduler& scheduler, const RandomFleet& f,
+                             const orbit::TimeGrid& grid, std::size_t threads) {
+  std::optional<util::ThreadPool> pool;
+  if (threads > 0) pool.emplace(threads);
+  return scheduler.run(grid, f.party_count, /*keep_steps=*/true,
+                       pool ? &*pool : nullptr);
+}
+
+TEST(SchedulerFootprintStream, PopulationFleetSlotOrderDiffersFromIdOrder) {
+  const RandomFleet f = make_population_fleet();
+  std::vector<orbit::TopocentricFrame> frames;
+  for (const Terminal& t : f.terminals) frames.emplace_back(t.location);
+  const cov::FootprintIndex index(frames);
+  const std::span<const std::uint32_t> ids = index.site_ids();
+  ASSERT_EQ(ids.size(), f.terminals.size());
+  EXPECT_FALSE(std::is_sorted(ids.begin(), ids.end()));
+}
+
+TEST(SchedulerFootprintStream, PopulationFleetMatchesAcrossPoolsAndReference) {
+  const RandomFleet f = make_population_fleet();
+  const orbit::TimeGrid grid = test_grid();
+  // cap 64 keeps every candidate of this fleet, so the capped path's
+  // slot-indexed top-K blocks and merge must reproduce the reference too.
+  for (const std::size_t cap : {std::size_t{0}, std::size_t{1}, std::size_t{4},
+                                std::size_t{64}}) {
+    SchedulerConfig config = f.config;
+    config.max_candidates_per_terminal = cap;
+    const BentPipeScheduler scheduler(config, f.satellites, f.terminals, f.stations);
+    const ScheduleResult expected = run_with_pool(scheduler, f, grid, 0);
+    ASSERT_TRUE(expected.slo.has_value());
+    EXPECT_GT(expected.slo->grant_flaps, 0u) << "cap=" << cap;
+    EXPECT_GT(expected.total_served_seconds, 0.0) << "cap=" << cap;
+    if (cap == 0 || cap == 64) {
+      EXPECT_TRUE(expected == scheduler.run_reference(grid, f.party_count, nullptr,
+                                                      /*keep_steps=*/true))
+          << "cap=" << cap;
+    }
+    for (const std::size_t threads : kPopulationPools) {
+      EXPECT_TRUE(run_with_pool(scheduler, f, grid, threads) == expected)
+          << "cap=" << cap << " pool=" << threads;
+    }
+  }
+}
+
+TEST(SchedulerFootprintStream, PooledHysteresisRunGrantsInOrderAndMatchesReference) {
+  // Sticky spare grants read last step's grant, so this fault-free run must
+  // take the in-order consumer grant even under a pool.
+  RandomFleet f = make_population_fleet();
+  f.config.degradation.enabled = true;
+  f.config.degradation.spare_hysteresis_margin = 0.2;
+  const BentPipeScheduler scheduler(f.config, f.satellites, f.terminals, f.stations);
+  const orbit::TimeGrid grid = test_grid();
+
+  const ScheduleResult reference =
+      scheduler.run_reference(grid, f.party_count, nullptr, /*keep_steps=*/true);
+  util::ThreadPool pool(4);
+  sim::RunContext context;
+  context.use_pool(&pool);
+  EXPECT_TRUE(scheduler.run(grid, f.party_count, context, /*keep_steps=*/true) ==
+              reference);
+  EXPECT_EQ(context.metrics().counter_value("sched.step_local_grant_steps"), 0u);
+  EXPECT_TRUE(run_with_pool(scheduler, f, grid, 8) == reference);
+}
+
+TEST(SchedulerFootprintStream, PopulationFleetCountersMatchAcrossPools) {
+  const RandomFleet f = make_population_fleet();
+  const BentPipeScheduler scheduler(f.config, f.satellites, f.terminals, f.stations);
+  const orbit::TimeGrid grid = test_grid();
+
+  const auto counters_for = [&](std::size_t threads) {
+    std::optional<util::ThreadPool> pool;
+    if (threads > 0) pool.emplace(threads);
+    sim::RunContext context;
+    context.use_pool(pool ? &*pool : nullptr);
+    (void)scheduler.run(grid, f.party_count, context);
+    return context.metrics().snapshot().counters;
+  };
+  const auto value = [](const auto& counters, std::string_view name) {
+    for (const auto& [key, v] : counters) {
+      if (key == name) return v;
+    }
+    return std::uint64_t{0};
+  };
+
+  const auto serial = counters_for(0);
+  // Fault-free and without hysteresis: every step grants inside its task.
+  EXPECT_EQ(value(serial, "sched.step_local_grant_steps"), grid.count);
+  EXPECT_GT(value(serial, "sched.beam_rejections"), 0u);
+  EXPECT_GT(value(serial, "sched.spare_withheld_rejections"), 0u);
+  EXPECT_GT(value(serial, "sched.links_granted"), 0u);
+  for (const std::size_t threads : kPopulationPools) {
+    EXPECT_EQ(counters_for(threads), serial) << "pool=" << threads;
+  }
+}
 
 TEST(SchedulerFootprintStreamConfig, RejectsBadStreamShapes) {
   const RandomFleet f = make_fleet(3);
