@@ -407,16 +407,11 @@ bool run_compare_scheduler(std::FILE* out, sim::RunContext& context) {
 
   const bool identical = serial == reference && pooled == reference;
 
-  // Footprint-stream phase 1 (no pair masks, spatial-index candidate
-  // discovery, uncapped) against the same reference: with
-  // max_candidates_per_terminal == 0 the streamed path is exact, so the full
-  // ScheduleResult — link ordering included — must match bit for bit.
-  net::SchedulerConfig streamed_config;
-  streamed_config.visibility_mode = net::VisibilityMode::kFootprintStream;
-  const net::BentPipeScheduler streamed_scheduler(streamed_config, sats, terminals,
-                                                  stations);
+  // Every run() takes the footprint-stream phase 1, so "streamed" and
+  // "pooled" are now one path; the streamed variant is a second pooled
+  // measurement, kept so the report's keys and gates stay as they were.
   const auto [streamed, sec_streamed] = timed(
-      [&] { return streamed_scheduler.run(grid, kParties, context, /*keep_steps=*/true); });
+      [&] { return scheduler.run(grid, kParties, context, /*keep_steps=*/true); });
   const bool streamed_identical = streamed == reference;
 
   // Faulted identity on a 6 h sub-grid: outages, degradations, and station
@@ -442,7 +437,7 @@ bool run_compare_scheduler(std::FILE* out, sim::RunContext& context) {
       scheduler.run(fault_grid, kParties, context, /*keep_steps=*/true) ==
       faulted_reference;
   const bool streamed_faulted_identical =
-      streamed_scheduler.run(fault_grid, kParties, context, /*keep_steps=*/true) ==
+      scheduler.run(fault_grid, kParties, context, /*keep_steps=*/true) ==
       faulted_reference;
   context.clear_faults();
 
@@ -672,14 +667,13 @@ bool run_mega(std::FILE* out, bool smoke) {
   const double links_granted = result.total_served_seconds / grid.step_seconds;
   const std::size_t rss = peak_rss_bytes();
 
-  // Bit-identity spot check at bench time: the footprint-stream pipeline vs
-  // the pair-mask pipeline on a deterministic sub-fleet of this exact
-  // workload (first 200 satellites, first 2,000 terminals, 6 h). Uncapped,
-  // the streamed path is exact, so the two ScheduleResults must match down
-  // to link ordering. Full-scale identity against run_reference is pinned by
-  // --compare-scheduler; this flag proves the mega catalog/site geometry
-  // never flips bits either, and feeds the "bit_identical" gate in
-  // tools/check_perf_regression.py --mega.
+  // Bit-identity spot check at bench time: the pipeline vs run_reference on
+  // a deterministic sub-fleet of this exact workload (first 200 satellites,
+  // first 2,000 terminals, 6 h). Uncapped, the pipeline is exact, so the two
+  // ScheduleResults must match down to link ordering. Reference-fleet
+  // identity is pinned by --compare-scheduler; this flag proves the mega
+  // catalog/site geometry never flips bits either, and feeds the
+  // "bit_identical" gate in tools/check_perf_regression.py --mega.
   const bool identical = [&] {
     const orbit::TimeGrid sub_grid =
         orbit::TimeGrid::over_duration(kEpoch, 6.0 * 3600.0, 60.0);
@@ -691,16 +685,12 @@ bool run_mega(std::FILE* out, bool smoke) {
         workload.terminals.begin(),
         workload.terminals.begin() +
             std::min<std::size_t>(workload.terminals.size(), 2000));
-    net::SchedulerConfig streamed_config = config;
-    streamed_config.max_candidates_per_terminal = 0;  // uncapped -> exact
-    net::SchedulerConfig pair_config = streamed_config;
-    pair_config.visibility_mode = net::VisibilityMode::kPairMasks;
-    const net::BentPipeScheduler streamed_scheduler(streamed_config, sub_sats,
-                                                    sub_terminals, workload.stations);
-    const net::BentPipeScheduler pair_scheduler(pair_config, sub_sats,
-                                                sub_terminals, workload.stations);
-    return streamed_scheduler.run(sub_grid, kParties, /*keep_steps=*/true) ==
-           pair_scheduler.run(sub_grid, kParties, /*keep_steps=*/true);
+    net::SchedulerConfig exact_config = config;
+    exact_config.max_candidates_per_terminal = 0;  // uncapped -> exact
+    const net::BentPipeScheduler sub_scheduler(exact_config, sub_sats, sub_terminals,
+                                               workload.stations);
+    return sub_scheduler.run(sub_grid, kParties, /*keep_steps=*/true) ==
+           sub_scheduler.run_reference(sub_grid, kParties, nullptr, /*keep_steps=*/true);
   }();
 
   const bool ok = result.total_served_seconds > 0.0 && identical;
@@ -710,7 +700,7 @@ bool run_mega(std::FILE* out, bool smoke) {
               links_granted, result.total_served_seconds,
               result.total_unserved_seconds);
   std::printf("peak RSS         : %.2f GB\n", static_cast<double>(rss) / 1e9);
-  std::printf("sub-fleet identity (stream vs pair-mask): %s\n",
+  std::printf("sub-fleet identity (stream vs reference): %s\n",
               identical ? "bit-identical" : "MISMATCH");
 
   std::fprintf(out,

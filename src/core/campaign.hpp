@@ -103,8 +103,8 @@ class Campaign {
            std::uint64_t seed);
 
   // Runs the next epoch and returns its report. The context's pool
-  // parallelises the epoch's scheduling phase 1 (ephemerides, pair masks,
-  // candidate lists); the report is bit-identical for any pool size,
+  // parallelises the epoch's scheduling phase 1 (ephemerides, station
+  // masks, candidate lists); the report is bit-identical for any pool size,
   // including none. Scheduler metrics land in context.metrics() under
   // "sched." plus campaign aggregates under "campaign.", and an epoch
   // summary line is recorded into context.trace().

@@ -99,6 +99,10 @@ void FaultTimeline::add_transponder_degradation(std::size_t satellite,
                           std::to_string(capacity_factor)});
   }
   core::throw_if_invalid("fault::FaultTimeline degradation", issues);
+  if (degradations_by_satellite_.empty()) {
+    degradations_by_satellite_.resize(satellite_out_.size());
+  }
+  degradations_by_satellite_[satellite].push_back(degradations_.size());
   degradations_.push_back({satellite, start_offset_s, end_offset_s, capacity_factor});
 }
 
@@ -156,11 +160,11 @@ double FaultTimeline::satellite_capacity_factor(std::size_t satellite,
                                                 std::size_t step) const noexcept {
   if (!satellite_available(satellite, step)) return 0.0;
   double factor = 1.0;
+  if (satellite >= degradations_by_satellite_.size()) return factor;
   const double t = grid_.step_seconds * static_cast<double>(step);
-  for (const Degradation& d : degradations_) {
-    if (d.satellite_index == satellite && t >= d.start_offset_s && t < d.end_offset_s) {
-      factor *= d.capacity_factor;
-    }
+  for (const std::size_t i : degradations_by_satellite_[satellite]) {
+    const Degradation& d = degradations_[i];
+    if (t >= d.start_offset_s && t < d.end_offset_s) factor *= d.capacity_factor;
   }
   return factor;
 }

@@ -111,7 +111,8 @@ class FaultTimeline {
   [[nodiscard]] bool station_available(std::size_t station,
                                        std::size_t step) const noexcept;
   // Remaining transponder capacity: 0 during a full outage, otherwise the
-  // product of all degradations active at the step (1 when healthy).
+  // product, in registration order, of the satellite's degradations active
+  // at the step (1 when healthy). Costs O(the satellite's own degradations).
   [[nodiscard]] double satellite_capacity_factor(std::size_t satellite,
                                                  std::size_t step) const noexcept;
   // Usable beam count under degradation; exactly `nominal_beams` at full
@@ -184,6 +185,9 @@ class FaultTimeline {
   std::vector<cov::StepMask> satellite_out_;
   std::vector<cov::StepMask> station_out_;
   std::vector<Degradation> degradations_;
+  // Per satellite, indices into degradations_ in registration order; empty
+  // until the first degradation is added.
+  std::vector<std::vector<std::size_t>> degradations_by_satellite_;
   std::vector<OutageRecord> records_;
 };
 

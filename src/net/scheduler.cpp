@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <chrono>
 #include <cmath>
 #include <memory>
@@ -22,12 +21,6 @@
 
 namespace mpleo::net {
 namespace {
-
-// Pair-mask storage budget for VisibilityMode::kAuto: below this the classic
-// per-(satellite, terminal) masks are built (fastest while they fit), above
-// it phase 1 switches to the footprint stream, whose memory does not scale
-// with satellites x terminals.
-constexpr std::size_t kPairMaskBudgetBytes = std::size_t{1} << 30;
 
 // One precomputed service option: for a (terminal, satellite) pair visible at
 // a step, the best (highest end-to-end capacity, lowest index on ties) healthy
@@ -69,7 +62,6 @@ void atomic_max(std::atomic<std::size_t>& target, std::size_t value) noexcept {
 
 // Wall time of one phase-1 task split by stage, accumulated locally and
 // observed once per task as sched.phase1_{downlink,query,scan,merge}_seconds.
-// The pair-mask fill has no index query and no merge; those stay zero there.
 struct Phase1Split {
   double downlink = 0.0;  // satellite -> station legs
   double query = 0.0;     // footprint-index cap queries
@@ -99,15 +91,6 @@ class StageClock {
   std::chrono::steady_clock::time_point last_{};
 };
 
-// The 64-step mask word bits covering steps [chunk_begin, chunk_begin +
-// count). stream_chunk_steps is a validated power of two <= 64, so a chunk
-// never straddles a word; sub-word chunks shift and mask.
-std::uint64_t chunk_word(std::span<const std::uint64_t> words,
-                         std::size_t chunk_begin, std::size_t count) noexcept {
-  const std::uint64_t bits = words[chunk_begin >> 6] >> (chunk_begin & 63);
-  return count >= 64 ? bits : bits & ((std::uint64_t{1} << count) - 1);
-}
-
 // A downlink leg toward one station, cached per (satellite, step) so the
 // satellite->station leg is computed once instead of once per terminal. Only
 // the values relay_capacity_bps reads are kept; shannon_bps stays zero in
@@ -118,141 +101,10 @@ struct StationBudget {
   double shannon_bps = 0.0;
 };
 
-// Read-only phase-1 inputs (all shared across chunk workers).
-struct PipelineContext {
-  const SchedulerConfig& config;
-  std::span<const constellation::Satellite> satellites;
-  std::span<const Terminal> terminals;
-  std::span<const GroundStation> stations;
-  std::span<const orbit::TopocentricFrame> terminal_frames;
-  std::span<const orbit::TopocentricFrame> station_frames;
-  const orbit::EphemerisSet& ephemerides;
-  // Pair visibility in slab-packed word storage, outage-subtracted for
-  // stations: mask si * terminals.size() + ti, mask si * stations.size() + gi.
-  const cov::PackedMasks* terminal_vis = nullptr;
-  const cov::PackedMasks* station_vis = nullptr;
-  // party * satellites.size() + si: steps where satellite si can reach at
-  // least one healthy station of `party` — the word that gates all uplink
-  // work for that party's terminals.
-  const cov::PackedMasks* party_avail = nullptr;
-  // Range-independent hop pieces, hoisted once per run: uplink_hops[ti] is
-  // terminal ti -> transponder receive, downlink_hops[gi] is transponder
-  // transmit -> station gi.
-  std::span<const HopEvaluator> uplink_hops;
-  std::span<const HopEvaluator> downlink_hops;
-  // Per-hop Shannon terms are only consumed by the regenerative combine.
-  bool regenerative = false;
-  // Per-step candidate-count high-water mark, shared across chunk workers
-  // for the reserve hint and reported as a gauge at the end of the run.
-  std::atomic<std::size_t>* step_high_water = nullptr;
-};
-
-// Scratch for fill_chunk, borrowed by one producer task at a time and reused
-// by later ones, so the (step, satellite) downlink lists keep their capacity
-// instead of reallocating tens of thousands of small vectors per chunk.
-struct FillScratch {
-  std::vector<std::vector<StationBudget>> downlinks;
-
-  void reset(std::size_t slots) {
-    if (downlinks.size() < slots) downlinks.resize(slots);
-    for (std::size_t i = 0; i < slots; ++i) downlinks[i].clear();
-  }
-};
-
-// Builds the candidate lists of steps [chunk_begin, chunk_begin + count) into
-// out[0..count). Pure function of the context — no scheduling state.
-void fill_chunk(const PipelineContext& ctx, std::size_t chunk_begin, std::size_t count,
-                std::span<StepCandidates> out, FillScratch& scratch, StageClock& clock,
-                Phase1Split& split) {
-  const std::size_t sat_count = ctx.satellites.size();
-  const std::size_t term_count = ctx.terminals.size();
-  const std::size_t station_count = ctx.stations.size();
-
-  const std::size_t hint = ctx.step_high_water->load(std::memory_order_relaxed);
-  for (std::size_t b = 0; b < count; ++b) out[b].reset(term_count, hint);
-
-  // Downlink legs first: one budget per (satellite, station, step) with both
-  // the pair visible and the station healthy. Station order inside each
-  // (step, satellite) list stays ascending — the reference tie-break order.
-  scratch.reset(count * sat_count);
-  std::vector<std::vector<StationBudget>>& downlinks = scratch.downlinks;
-  for (std::size_t si = 0; si < sat_count; ++si) {
-    const orbit::EphemerisTable& table = ctx.ephemerides.table(si);
-    for (std::size_t gi = 0; gi < station_count; ++gi) {
-      std::uint64_t bits = chunk_word(ctx.station_vis->words(si * station_count + gi),
-                                      chunk_begin, count);
-      while (bits != 0) {
-        const unsigned b = static_cast<unsigned>(std::countr_zero(bits));
-        bits &= bits - 1;
-        const std::size_t step = chunk_begin + b;
-        const util::Vec3 pos = table.position_ecef(step);
-        const double snr =
-            ctx.downlink_hops[gi].snr_linear(ctx.station_frames[gi].range_m(pos));
-        downlinks[b * sat_count + si].push_back(
-            {static_cast<std::uint32_t>(gi), snr,
-             ctx.regenerative ? ctx.downlink_hops[gi].shannon_bps(snr) : 0.0});
-      }
-    }
-  }
-  clock.lap(split.downlink);
-
-  // Uplink legs + combine, gated so a terminal-satellite budget is computed
-  // only at steps where the pair is visible AND the terminal's party has a
-  // reachable station through that satellite (one word-AND per pair-chunk).
-  for (std::size_t ti = 0; ti < term_count; ++ti) {
-    const Terminal& term = ctx.terminals[ti];
-    const std::uint32_t party = term.owner_party;
-    for (std::size_t si = 0; si < sat_count; ++si) {
-      std::uint64_t bits =
-          chunk_word(ctx.terminal_vis->words(si * term_count + ti), chunk_begin, count) &
-          chunk_word(ctx.party_avail->words(party * sat_count + si), chunk_begin, count);
-      if (bits == 0) continue;
-      const orbit::EphemerisTable& table = ctx.ephemerides.table(si);
-      while (bits != 0) {
-        const unsigned b = static_cast<unsigned>(std::countr_zero(bits));
-        bits &= bits - 1;
-        const std::size_t step = chunk_begin + b;
-        const util::Vec3 pos = table.position_ecef(step);
-        const double up_snr =
-            ctx.uplink_hops[ti].snr_linear(ctx.terminal_frames[ti].range_m(pos));
-        const double up_shannon =
-            ctx.regenerative ? ctx.uplink_hops[ti].shannon_bps(up_snr) : 0.0;
-        double best_capacity = 0.0;
-        std::uint32_t best_gs = 0;
-        bool found = false;
-        for (const StationBudget& sb : downlinks[b * sat_count + si]) {
-          if (ctx.stations[sb.station].owner_party != party) continue;
-          const double capacity =
-              relay_capacity_bps(up_snr, up_shannon, sb.snr_linear, sb.shannon_bps,
-                                 ctx.config.transponder,
-                                 ctx.stations[sb.station].radio, ctx.config.relay_mode);
-          if (capacity > best_capacity) {
-            best_capacity = capacity;
-            best_gs = sb.station;
-            found = true;
-          }
-        }
-        if (found) {
-          out[b].cands.push_back({static_cast<std::uint32_t>(ti),
-                                  static_cast<std::uint32_t>(si), best_gs,
-                                  best_capacity});
-        }
-      }
-    }
-    for (std::size_t b = 0; b < count; ++b) {
-      out[b].offsets[ti + 1] = static_cast<std::uint32_t>(out[b].cands.size());
-    }
-  }
-  for (std::size_t b = 0; b < count; ++b) {
-    atomic_max(*ctx.step_high_water, out[b].cands.size());
-  }
-  clock.lap(split.scan);
-}
-
-// Read-only inputs of the footprint-stream (direct) fill: no terminal pair
+// Read-only phase-1 inputs, shared by every producer task. No terminal pair
 // masks exist; visibility is discovered per (satellite, step) through the
-// spatial index and re-tested exactly.
-struct DirectContext {
+// footprint index and re-tested exactly.
+struct Phase1Context {
   const SchedulerConfig& config;
   std::span<const constellation::Satellite> satellites;
   std::span<const GroundStation> stations;
@@ -292,10 +144,10 @@ struct TopKEntry {
   double capacity_bps;
 };
 
-// Scratch of the direct fill. Each producer task borrows one for its
+// Scratch of the phase-1 fill. Each producer task borrows one for its
 // duration, so concurrent tasks never share state and later tasks reuse the
 // buffers' capacity and already-faulted pages.
-struct DirectScratch {
+struct Phase1Scratch {
   std::vector<StationBudget> downlinks;                // current satellite
   std::vector<cov::FootprintIndex::Range> ranges;
   // Exact mode: emission in (satellite-ascending, site-bucket) order,
@@ -325,19 +177,19 @@ void top_k_insert(TopKEntry* region, std::uint8_t& n, std::size_t cap,
   if (n < cap) ++n;
 }
 
-// The footprint-stream fill of one step — the unit of phase-1 parallelism,
-// since a step's candidates depend on that step alone. Emission is
-// satellite-major (shards ascending, satellites ascending inside each
-// shard); the counting sort at the end restores the exact terminal-major /
-// satellite-ascending candidate order of fill_chunk, so with cap == 0 the
-// output is bit-identical to the pair-mask path: the index + cone only prune
-// (conservative superset of exact visibility), survivors run the same
-// visible_above and the same hop arithmetic on the same table positions.
+// The phase-1 fill of one step — the unit of phase-1 parallelism, since a
+// step's candidates depend on that step alone. Emission is satellite-major
+// (shards ascending, satellites ascending inside each shard); the counting
+// sort at the end restores the terminal-major / satellite-ascending order of
+// the reference scan, so with cap == 0 the output is bit-identical to it:
+// the index + cone only prune (conservative superset of exact visibility),
+// survivors run the same visible_above and the same hop arithmetic on the
+// same table positions.
 // The slot-order inputs are copies of the per-terminal ones, and each
 // terminal's top-K block still sees its satellites in ascending order, so
 // reading them by slot changes no value and no insertion order.
-void fill_step_direct(const DirectContext& ctx, std::size_t step, StepCandidates& out,
-                      DirectScratch& scratch, StageClock& clock, Phase1Split& split) {
+void fill_step(const Phase1Context& ctx, std::size_t step, StepCandidates& out,
+               Phase1Scratch& scratch, StageClock& clock, Phase1Split& split) {
   const std::size_t sat_count = ctx.satellites.size();
   const std::size_t term_count = ctx.slot_party.size();
   const std::size_t station_count = ctx.stations.size();
@@ -399,7 +251,7 @@ void fill_step_direct(const DirectContext& ctx, std::size_t step, StepCandidates
         visited += range.end - range.begin;
         for (std::uint32_t j = range.begin; j < range.end; ++j) {
           // Conservative cone dot test, then the exact elevation test —
-          // identical accept set to the culler-filled pair mask bit.
+          // identical accept set to the reference's visible_above.
           if (ux[j] * pos.x + uy[j] * pos.y + uz[j] * pos.z < cone.dot_threshold) {
             continue;
           }
@@ -446,9 +298,9 @@ void fill_step_direct(const DirectContext& ctx, std::size_t step, StepCandidates
 
   if (cap == 0) {
     // Counting sort, stable by terminal, so within a terminal the satellite-
-    // ascending emission order is preserved — exactly the pair-mask path's
-    // CSR. offsets[ti] serves as terminal ti's write cursor and ends at the
-    // start of ti + 1, so one shift restores it.
+    // ascending emission order is preserved — the reference scan order.
+    // offsets[ti] serves as terminal ti's write cursor and ends at the start
+    // of ti + 1, so one shift restores it.
     const std::vector<Candidate>& em = scratch.emitted;
     for (const Candidate& cand : em) ++out.offsets[cand.terminal + 1];
     for (std::size_t ti = 0; ti < term_count; ++ti) out.offsets[ti + 1] += out.offsets[ti];
@@ -879,10 +731,9 @@ void accumulate_step(const StepSchedule& schedule, std::span<const Terminal> ter
 // registry is attached, so the uninstrumented overloads pay only dead
 // branches on null pointers. Metrics keep their meaning whatever the task
 // shape and wherever the grant runs:
-//  * chunk_seconds is observed once per producer task (one step on the
-//    footprint stream, one chunk on pair masks) and times the whole task,
-//    including a step-local grant run inside it, so its sum is all the CPU
-//    time spent off the consumer thread;
+//  * chunk_seconds is observed once per producer task (one step) and times
+//    the whole task, including a step-local grant run inside it, so its sum
+//    is all the CPU time spent off the consumer thread;
 //  * drain_seconds times the sequential, in-order consumer per chunk, so
 //    chunk_seconds + drain_seconds covers phase 1 and phase 2 exactly once;
 //  * the phase1_{downlink,query,scan,merge} timers split a task's fill by
@@ -896,7 +747,7 @@ void accumulate_step(const StepSchedule& schedule, std::span<const Terminal> ter
 struct RunMetrics {
   obs::Histogram run_seconds;           // whole pipeline, one observation
   obs::Histogram propagate_seconds;     // shared ephemeris kernel
-  obs::Histogram cull_seconds;          // pair masks + outages + party_avail
+  obs::Histogram cull_seconds;          // station masks, party_avail, index
   obs::Histogram chunk_seconds;         // per phase-1 task (worker threads)
   obs::Histogram downlink_seconds;      // per task: satellite -> station legs
   obs::Histogram query_seconds;         // per task: footprint-index cap queries
@@ -906,8 +757,8 @@ struct RunMetrics {
   obs::Histogram drain_seconds;         // per phase-2 chunk drain
   obs::Histogram candidates_per_step;   // candidate-list occupancy
   obs::Counter candidates;              // candidates emitted by phase 1
-  obs::Counter cull_masks;              // pair masks filled by the culler
-  obs::Counter cull_visible_steps;      // set bits across the pair masks
+  obs::Counter cull_masks;              // station masks filled by the culler
+  obs::Counter cull_visible_steps;      // set bits across the station masks
   obs::Counter index_pruned_pairs;      // pair visits skipped by the spatial index
   obs::Counter beam_rejections;         // candidates skipped: no beam left
   obs::Counter withheld_rejections;     // spare candidates skipped: beams withheld
@@ -1235,23 +1086,12 @@ ScheduleResult BentPipeScheduler::run_impl(const orbit::TimeGrid& grid,
     return ephemerides(grid, pool);
   }();
 
-  // Resolve the visibility mode: pair masks while the (satellite, terminal)
-  // mask array fits the budget, footprint stream beyond it.
-  const std::size_t mask_words = (step_total + 63) / 64;
-  VisibilityMode mode = config_.visibility_mode;
-  if (mode == VisibilityMode::kAuto) {
-    const std::size_t pair_bytes = sat_count * term_count * mask_words * 8;
-    mode = pair_bytes > kPairMaskBudgetBytes ? VisibilityMode::kFootprintStream
-                                             : VisibilityMode::kPairMasks;
-  }
-  const bool direct = mode == VisibilityMode::kFootprintStream;
-
   obs::ScopedTimer cull_timer(rm.cull_seconds);
 
   // Latitude-band pruning data: a conservative per-satellite footprint cone
   // (the culler's own derivation with the fleet-wide minimum site radius
   // substituted, so it can only be wider than any per-site cone) plus each
-  // table's latitude reach. A (satellite, site) pair whose latitude bands
+  // table's latitude reach. A (satellite, station) pair whose latitude bands
   // cannot intersect provably has an all-zero mask, so the cull fill is
   // skipped outright — same bits, no work.
   double site_r_min = 0.0;
@@ -1284,42 +1124,19 @@ ScheduleResult BentPipeScheduler::run_impl(const orbit::TimeGrid& grid,
     station_sin_lat[gi] = r > 0.0 ? o.z / r : 0.0;
   }
 
-  // Pair visibility masks through the coverage cull, packed into slab
-  // storage. The cull only skips work — each set bit passed the exact
+  // Station pair visibility masks through the coverage cull, packed into
+  // slab storage. The cull only skips work — each set bit passed the exact
   // visible_above test the reference runs — so a mask word is precisely 64
-  // reference visibility answers.
+  // reference visibility answers. Terminals get no pair masks: phase 1 finds
+  // them per step through the footprint index.
   const cov::VisibilityCuller culler(grid, config_.elevation_mask_deg);
   const cov::CullCounters cull_counters{rm.cull_masks, rm.cull_visible_steps};
   std::atomic<std::uint64_t> pruned_pairs{0};
 
   cov::PackedMasks station_vis(sat_count * station_count, step_total);
-  cov::PackedMasks terminal_vis;
-  if (!direct) {
-    terminal_vis = cov::PackedMasks(sat_count * term_count, step_total);
-  }
-  std::vector<double> terminal_sin_lat;
-  if (!direct) {
-    terminal_sin_lat.resize(term_count);
-    for (std::size_t ti = 0; ti < term_count; ++ti) {
-      const util::Vec3& o = terminal_frames_[ti].origin_ecef();
-      const double r = o.norm();
-      terminal_sin_lat[ti] = r > 0.0 ? o.z / r : 0.0;
-    }
-  }
-  const auto fill_pair_masks = [&](std::size_t si) {
+  const auto fill_station_masks = [&](std::size_t si) {
     const orbit::EphemerisTable& table = eph.table(si);
     std::uint64_t local_pruned = 0;
-    if (!direct) {
-      for (std::size_t ti = 0; ti < term_count; ++ti) {
-        if (!cov::latitude_reachable(sat_max_sin_lat[si], sat_psi[si],
-                                     terminal_sin_lat[ti])) {
-          ++local_pruned;
-          continue;
-        }
-        culler.fill(table, terminal_frames_[ti],
-                    terminal_vis.words(si * term_count + ti), cull_counters);
-      }
-    }
     for (std::size_t gi = 0; gi < station_count; ++gi) {
       if (!cov::latitude_reachable(sat_max_sin_lat[si], sat_psi[si],
                                    station_sin_lat[gi])) {
@@ -1332,12 +1149,12 @@ ScheduleResult BentPipeScheduler::run_impl(const orbit::TimeGrid& grid,
     pruned_pairs.fetch_add(local_pruned, std::memory_order_relaxed);
   };
   if (pool != nullptr) {
-    pool->parallel_for(sat_count, fill_pair_masks);
+    pool->parallel_for(sat_count, fill_station_masks);
   } else {
-    for (std::size_t si = 0; si < sat_count; ++si) fill_pair_masks(si);
+    for (std::size_t si = 0; si < sat_count; ++si) fill_station_masks(si);
   }
 
-  // Station outages come off the pair masks up front, so phase 1 never
+  // Station outages come off the station masks up front, so phase 1 never
   // offers a downed station. Steps at or beyond the timeline's own grid
   // report healthy (the station_available contract).
   if (faulted) {
@@ -1371,69 +1188,52 @@ ScheduleResult BentPipeScheduler::run_impl(const orbit::TimeGrid& grid,
     }
   }
 
-  // Footprint-stream inputs: the terminal spatial index, the shell shards
-  // and one conservative cone per shard.
-  cov::FootprintIndex footprint_index;
-  std::vector<constellation::ShellShard> shards;
+  // Phase-1 terminal discovery: the terminal footprint index, the shell
+  // shards and one conservative cone per shard.
+  const cov::FootprintIndex footprint_index(terminal_frames_);
+  const std::vector<constellation::ShellShard> shards =
+      constellation::shell_partition(satellites_);
   std::vector<cov::FootprintCone> shard_cones;
-  if (direct) {
-    footprint_index = cov::FootprintIndex(terminal_frames_);
-    shards = constellation::shell_partition(satellites_);
-    shard_cones.reserve(shards.size());
-    for (const constellation::ShellShard& shard : shards) {
-      double r_min = 0.0, r_max = 0.0;
-      for (std::size_t si = shard.begin; si < shard.end; ++si) {
-        const orbit::EphemerisTable& table = eph.table(si);
-        if (si == shard.begin) {
-          r_min = table.min_radius_m();
-          r_max = table.max_radius_m();
-        } else {
-          r_min = std::min(r_min, table.min_radius_m());
-          r_max = std::max(r_max, table.max_radius_m());
-        }
+  shard_cones.reserve(shards.size());
+  for (const constellation::ShellShard& shard : shards) {
+    double r_min = 0.0, r_max = 0.0;
+    for (std::size_t si = shard.begin; si < shard.end; ++si) {
+      const orbit::EphemerisTable& table = eph.table(si);
+      if (si == shard.begin) {
+        r_min = table.min_radius_m();
+        r_max = table.max_radius_m();
+      } else {
+        r_min = std::min(r_min, table.min_radius_m());
+        r_max = std::max(r_max, table.max_radius_m());
       }
-      shard_cones.push_back(cov::FootprintCone::make(
-          r_min, r_max, footprint_index.min_site_radius_m(),
-          config_.elevation_mask_deg));
     }
+    shard_cones.push_back(cov::FootprintCone::make(
+        r_min, r_max, footprint_index.min_site_radius_m(), config_.elevation_mask_deg));
   }
   cull_timer.stop();
 
-  std::vector<HopEvaluator> uplink_hops;
-  uplink_hops.reserve(term_count);
-  for (const Terminal& terminal : terminals_) {
-    uplink_hops.push_back(HopEvaluator::make(terminal.radio, config_.transponder.receive));
-  }
   std::vector<HopEvaluator> downlink_hops;
   downlink_hops.reserve(station_count);
   for (const GroundStation& station : stations_) {
     downlink_hops.push_back(HopEvaluator::make(config_.transponder.transmit, station.radio));
   }
 
-  // Footprint-stream terminal inputs in index-slot order (see DirectContext).
+  // Terminal inputs in index-slot order (see Phase1Context).
   std::vector<std::uint32_t> slot_party;
   std::vector<orbit::TopocentricFrame> slot_frames;
   std::vector<HopEvaluator> slot_uplink_hops;
-  if (direct) {
-    const std::span<const std::uint32_t> ids = footprint_index.site_ids();
-    slot_party.reserve(term_count);
-    slot_frames.reserve(term_count);
-    slot_uplink_hops.reserve(term_count);
-    for (std::size_t j = 0; j < ids.size(); ++j) {
-      slot_party.push_back(terminals_[ids[j]].owner_party);
-      slot_frames.push_back(terminal_frames_[ids[j]]);
-      slot_uplink_hops.push_back(uplink_hops[ids[j]]);
-    }
+  slot_party.reserve(term_count);
+  slot_frames.reserve(term_count);
+  slot_uplink_hops.reserve(term_count);
+  for (const std::uint32_t ti : footprint_index.site_ids()) {
+    slot_party.push_back(terminals_[ti].owner_party);
+    slot_frames.push_back(terminal_frames_[ti]);
+    slot_uplink_hops.push_back(
+        HopEvaluator::make(terminals_[ti].radio, config_.transponder.receive));
   }
 
   std::atomic<std::size_t> step_high_water{0};
-  const bool regenerative = config_.relay_mode == RelayMode::kRegenerative;
-  const PipelineContext ctx{config_,        satellites_,      terminals_,
-                            stations_,      terminal_frames_, station_frames_,
-                            eph,            &terminal_vis,    &station_vis,
-                            &party_avail,   uplink_hops,      downlink_hops,
-                            regenerative,   &step_high_water};
-  const DirectContext dctx{config_,
+  const Phase1Context fctx{config_,
                            satellites_,
                            stations_,
                            station_frames_,
@@ -1448,7 +1248,7 @@ ScheduleResult BentPipeScheduler::run_impl(const orbit::TimeGrid& grid,
                            &party_avail,
                            party_count,
                            downlink_hops,
-                           regenerative,
+                           config_.relay_mode == RelayMode::kRegenerative,
                            sin_mask_,
                            config_.max_candidates_per_terminal,
                            &step_high_water,
@@ -1464,17 +1264,12 @@ ScheduleResult BentPipeScheduler::run_impl(const orbit::TimeGrid& grid,
   // any pool size, slot count, or chunk size.
   const std::size_t chunk_steps = config_.stream_chunk_steps;
   const std::size_t chunk_total = (step_total + chunk_steps - 1) / chunk_steps;
-  std::size_t slots;
-  if (config_.stream_slots > 0) {
-    slots = config_.stream_slots;
-  } else if (direct) {
-    // A slot's staging buffers scale with terminals; keep few in flight.
+  // A slot's staging buffers scale with terminals; keep few in flight.
+  std::size_t slots = config_.stream_slots;
+  if (slots == 0) {
     slots = pool != nullptr
                 ? std::max<std::size_t>(2, std::min<std::size_t>(pool->thread_count(), 4))
                 : 2;
-  } else {
-    slots = pool != nullptr ? std::max<std::size_t>(2 * pool->thread_count(), 8)
-                            : std::size_t{4};
   }
   slots = std::max<std::size_t>(1, std::min(slots, chunk_total));
   // RF interference is applied post-grant, symmetrically with run_reference.
@@ -1518,9 +1313,8 @@ ScheduleResult BentPipeScheduler::run_impl(const orbit::TimeGrid& grid,
   // per (slot, step): no more exist than tasks ever ran at once, and a
   // lane's next task reuses the pages its previous one already faulted in.
   struct TaskScratch {
-    FillScratch fill;
-    DirectScratch direct;
-    std::vector<StepCandidates> candidates;  // step-local runs only
+    Phase1Scratch fill;
+    StepCandidates candidates;  // step-local runs only
     ConsumeScratch consume;
   };
   std::mutex scratch_mutex;
@@ -1546,8 +1340,7 @@ ScheduleResult BentPipeScheduler::run_impl(const orbit::TimeGrid& grid,
                                 policy.sticky_prev(), policy.sticky_margin());
   };
 
-  // Phase-1 tasks: one step each on the footprint stream, one whole chunk on
-  // the pair-mask path. Each task writes only its own steps' buffers.
+  // Phase-1 tasks: one step each, writing only that step's buffers.
   const bool timed = metrics != nullptr;
   const auto produce = [&](std::size_t chunk, std::size_t task, std::size_t slot) {
     obs::ScopedTimer chunk_timer(rm.chunk_seconds);
@@ -1563,38 +1356,16 @@ ScheduleResult BentPipeScheduler::run_impl(const orbit::TimeGrid& grid,
     }
     if (!scratch) scratch = std::make_unique<TaskScratch>();
 
-    const std::size_t begin = chunk * chunk_steps;
-    const std::size_t count = std::min(chunk_steps, step_total - begin);
-    // This task's steps are chunk steps [first, first + n).
-    const std::size_t first = direct ? task : 0;
-    const std::size_t n = direct ? 1 : count;
-    std::span<StepCandidates> out;
-    if (step_local) {
-      if (scratch->candidates.size() < n) scratch->candidates.resize(n);
-      out = {scratch->candidates.data(), n};
-    } else {
-      out = {buffers[slot].data() + first, n};
-    }
-    if (direct) {
-      fill_step_direct(dctx, begin + first, out[0], scratch->direct, clock, split);
-    } else {
-      fill_chunk(ctx, begin, count, out, scratch->fill, clock, split);
-    }
-    std::uint64_t emitted = 0;
-    for (const StepCandidates& sc : out) {
-      emitted += sc.cands.size();
-      rm.candidates_per_step.observe(static_cast<double>(sc.cands.size()));
-    }
-    rm.candidates.add(emitted);
+    const std::size_t step = chunk * chunk_steps + task;
+    StepCandidates& out = step_local ? scratch->candidates : buffers[slot][task];
+    fill_step(fctx, step, out, scratch->fill, clock, split);
+    rm.candidates_per_step.observe(static_cast<double>(out.cands.size()));
+    rm.candidates.add(out.cands.size());
     rm.downlink_seconds.observe(split.downlink);
     rm.query_seconds.observe(split.query);
     rm.scan_seconds.observe(split.scan);
     rm.merge_seconds.observe(split.merge);
-    if (step_local) {
-      for (std::size_t k = 0; k < n; ++k) {
-        grant(begin + first + k, out[k], {}, scratch->consume, grants[slot][first + k]);
-      }
-    }
+    if (step_local) grant(step, out, {}, scratch->consume, grants[slot][task]);
 
     const std::lock_guard lock(scratch_mutex);
     idle_scratch.push_back(std::move(scratch));
@@ -1628,11 +1399,7 @@ ScheduleResult BentPipeScheduler::run_impl(const orbit::TimeGrid& grid,
     }
   };
 
-  if (direct) {
-    util::stream_chunks(pool, step_total, chunk_steps, slots, produce, consume);
-  } else {
-    util::stream_chunks(pool, chunk_total, 1, slots, produce, consume);
-  }
+  util::stream_chunks(pool, step_total, chunk_steps, slots, produce, consume);
 
   policy.finish(result);
   rm.shed_terminal_steps.add(policy.shed_terminal_steps);

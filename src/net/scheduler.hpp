@@ -9,15 +9,17 @@
 // carried whose traffic for how long) is what core/ledger bills from.
 //
 // run() executes a two-phase pipeline:
-//   Phase 1 (parallel over steps, streamed in step chunks): propagate every
-//   satellite once through the shared ephemeris kernel, cull (satellite,
-//   terminal) and (satellite, station) pairs with the coverage engine's
-//   conservative zenith-cone prefilter into StepMask bitmaps, and precompute
-//   per-step candidate lists — for each visible (terminal, satellite) pair
-//   the best same-party station with its end-to-end relay capacity. Link
-//   budgets are evaluated only for triples whose terminal leg AND some party
-//   station leg are simultaneously up (a word-level AND of pair masks), and
-//   each leg is computed once per pair instead of once per triple.
+//   Phase 1 (parallel over steps, one step per task, streamed in step
+//   chunks): propagate every satellite once through the shared ephemeris
+//   kernel and cull the (satellite, station) pairs with the coverage engine's
+//   conservative zenith-cone prefilter into StepMask bitmaps; their union per
+//   (party, satellite) says at which steps a satellite can land a party's
+//   traffic at all. Each step then queries a footprint index over the
+//   terminals with every reachable satellite's footprint cap, re-tests the
+//   survivors exactly, and builds the step's candidate list — for each
+//   visible (terminal, satellite) pair the best same-party station with its
+//   end-to-end relay capacity. Each downlink leg is computed once per
+//   (satellite, step) and each uplink leg once per pair, never per triple.
 //   Phase 2 (in step order, cheap): sweep steps in order consuming the
 //   candidate lists for beam allocation, spare-priority ordering,
 //   failure-forced detach, and re-acquisition backoff bookkeeping. With no
@@ -57,23 +59,6 @@ class ThreadPool;
 }
 
 namespace mpleo::net {
-
-// How phase 1 discovers (terminal, satellite) visibility.
-enum class VisibilityMode {
-  // Pick per run: pair masks while they fit a memory budget, the footprint
-  // stream beyond it (mega-constellation fleets).
-  kAuto,
-  // Classic: one packed visibility mask per (satellite, terminal) pair,
-  // filled by the conservative zenith-cone cull, pruned pair-by-pair with
-  // the latitude-band reachability test. Exact, and the fastest option while
-  // the masks fit in memory.
-  kPairMasks,
-  // Mega-scale: no terminal pair masks at all. Each chunk streams every
-  // satellite's footprint cap through a cov::FootprintIndex over the
-  // terminals, re-testing survivors exactly — same candidates, same order,
-  // O(sites-in-footprint) instead of O(terminals) per satellite-step.
-  kFootprintStream,
-};
 
 struct SchedulerConfig {
   double elevation_mask_deg = 25.0;
@@ -122,19 +107,15 @@ struct SchedulerConfig {
   // either backend. Scenario-driven callers copy scenario.propagator here
   // (see sim::parse_scenario's --propagator= flag).
   orbit::PropagatorBackend propagator_backend = orbit::PropagatorBackend::kJ2Analytic;
-  // Phase-1 visibility discovery (see VisibilityMode). Every mode produces
-  // bit-identical schedules when max_candidates_per_terminal is 0.
-  VisibilityMode visibility_mode = VisibilityMode::kAuto;
-  // Steps per phase-1 chunk. Must be a power of two in [1, 64] so a chunk
-  // never straddles a mask word. Smaller chunks shrink the streaming
-  // pipeline's in-flight memory (the mega preset runs 8); 64 keeps the
-  // historical one-word-per-chunk behaviour. Chunk size never changes the
-  // result — candidates are a per-step pure function of geometry.
+  // Steps per phase-1 chunk, a power of two in [1, 64]. Smaller chunks
+  // shrink the streaming pipeline's in-flight memory (the mega preset runs
+  // 8). Chunk size never changes the result — candidates are a per-step pure
+  // function of geometry.
   std::size_t stream_chunk_steps = 64;
   // In-flight chunk slots for the phase-1 -> phase-2 streaming pipeline.
-  // 0 = auto (scaled to the pool, smaller under kFootprintStream where a
-  // slot's candidate buffers are the dominant allocation). The slot count
-  // never changes the result — phase 2 consumes chunks strictly in order.
+  // 0 = auto (scaled to the pool, at most 4: a slot's candidate buffers are
+  // the dominant allocation). The slot count never changes the result —
+  // phase 2 consumes chunks strictly in order.
   std::size_t stream_slots = 0;
   // Per-terminal candidate cap, applied per step at phase-1 emission: keep
   // the top-K own-satellite and top-K spare candidates by capacity (ties to
@@ -245,9 +226,9 @@ class BentPipeScheduler {
   // per-party usage. `party_count` sizes the aggregate vector;
   // terminals/satellites with owner >= party_count are rejected. Set
   // keep_steps to retain the per-step link lists. With a pool, phase 1
-  // (ephemerides, pair masks, candidate lists) runs parallel — over steps on
-  // the footprint stream, over step chunks on pair masks; the result is
-  // bit-identical for any pool size, including none.
+  // (ephemerides, station masks, per-step candidate lists) runs parallel
+  // over steps; the result is bit-identical for any pool size, including
+  // none.
   [[nodiscard]] ScheduleResult run(const orbit::TimeGrid& grid, std::size_t party_count,
                                    bool keep_steps = false,
                                    util::ThreadPool* pool = nullptr) const;

@@ -47,9 +47,8 @@ Workload build_mega(const Scenario& scenario) {
     w.stations[i].radio = net::default_ground_station();
   }
 
-  // The mega streaming preset: footprint-stream visibility, small chunks and
-  // few slots to bound staging memory, top-4 candidates per terminal.
-  w.scheduler.visibility_mode = net::VisibilityMode::kFootprintStream;
+  // The mega streaming preset: small chunks and few slots to bound staging
+  // memory, top-4 candidates per terminal.
   w.scheduler.stream_chunk_steps = 8;
   w.scheduler.stream_slots = 2;
   w.scheduler.max_candidates_per_terminal = 4;

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 
@@ -110,6 +112,91 @@ TEST(FaultTimeline, OverlappingDegradationsMultiplyAndOutageWinsOutright) {
   timeline.add_satellite_outage(0, 60.0, 120.0);
   EXPECT_DOUBLE_EQ(timeline.satellite_capacity_factor(0, 1), 0.0);
   EXPECT_EQ(timeline.degraded_beam_count(0, 1, 8), 0);
+}
+
+// The per-satellite degradation lookup against a brute-force scan of every
+// registered degradation, multiplied in registration order.
+double brute_force_factor(const FaultTimeline& timeline, std::size_t satellite,
+                          std::size_t step) {
+  if (!timeline.satellite_available(satellite, step)) return 0.0;
+  const double t = timeline.grid().step_seconds * static_cast<double>(step);
+  double factor = 1.0;
+  for (const Degradation& d : timeline.degradations()) {
+    if (d.satellite_index == satellite && t >= d.start_offset_s && t < d.end_offset_s) {
+      factor *= d.capacity_factor;
+    }
+  }
+  return factor;
+}
+
+int brute_force_beams(const FaultTimeline& timeline, std::size_t satellite,
+                      std::size_t step, int nominal) {
+  const double factor = brute_force_factor(timeline, satellite, step);
+  if (factor >= 1.0) return nominal;
+  if (factor <= 0.0) return 0;
+  return std::clamp(
+      static_cast<int>(std::floor(static_cast<double>(nominal) * factor + 1e-9)), 0,
+      nominal);
+}
+
+void expect_matches_brute_force(const FaultTimeline& timeline, std::size_t satellites,
+                                std::size_t steps) {
+  for (std::size_t si = 0; si < satellites; ++si) {
+    for (std::size_t step = 0; step < steps; ++step) {
+      // Exact equality: the lookup must multiply in the same order.
+      EXPECT_EQ(timeline.satellite_capacity_factor(si, step),
+                brute_force_factor(timeline, si, step))
+          << "satellite " << si << " step " << step;
+      for (const int nominal : {1, 8, 48}) {
+        EXPECT_EQ(timeline.degraded_beam_count(si, step, nominal),
+                  brute_force_beams(timeline, si, step, nominal))
+            << "satellite " << si << " step " << step << " beams " << nominal;
+      }
+    }
+  }
+}
+
+TEST(FaultTimeline, CapacityFactorMatchesBruteForceProduct) {
+  // 10 steps at 60 s; satellite 1 carries three overlapping degradations
+  // whose product depends on the order it is taken in, registered between
+  // other satellites' records so per-satellite and global order differ.
+  FaultTimeline timeline(make_grid(), 4, 0);
+  timeline.add_transponder_degradation(2, 0.0, 300.0, 0.5);
+  timeline.add_transponder_degradation(1, 0.0, 900.0, 0.1);
+  timeline.add_transponder_degradation(3, 120.0, 240.0, 0.9);
+  timeline.add_transponder_degradation(1, 60.0, 1200.0, 0.3);
+  timeline.add_transponder_degradation(2, 200.0, 500.0, 0.25);
+  timeline.add_transponder_degradation(1, 120.0, 1e6, 0.7);
+  // The outage overrides satellite 1's degradations at steps 4 and 5.
+  timeline.add_satellite_outage(1, 240.0, 360.0);
+
+  // The three factors in registration order vs reversed: not equal, so a
+  // lookup that reorders them would fail the exact comparisons below.
+  const double forward = ((1.0 * 0.1) * 0.3) * 0.7;
+  const double reversed = ((1.0 * 0.7) * 0.3) * 0.1;
+  ASSERT_NE(forward, reversed);
+  EXPECT_EQ(timeline.satellite_capacity_factor(1, 2), forward);
+  EXPECT_EQ(timeline.satellite_capacity_factor(1, 4), 0.0);
+  EXPECT_EQ(timeline.degraded_beam_count(1, 5, 8), 0);
+
+  // Satellite 0 is never degraded; index 7 is beyond the fleet. Steps run
+  // past the 10-step grid, where satellite 1's longest records still apply.
+  EXPECT_EQ(timeline.satellite_capacity_factor(0, 3), 1.0);
+  EXPECT_EQ(timeline.degraded_beam_count(7, 3, 8), 8);
+  EXPECT_EQ(timeline.satellite_capacity_factor(1, 15), 0.3 * 0.7);
+  expect_matches_brute_force(timeline, 8, 25);
+
+  // A copy answers on its own: it keeps the original's answers, and records
+  // added to either side after the copy never leak into the other.
+  FaultTimeline copy = timeline;
+  expect_matches_brute_force(copy, 8, 25);
+  copy.add_transponder_degradation(0, 0.0, 600.0, 0.5);
+  timeline.add_transponder_degradation(1, 0.0, 600.0, 0.6);
+  EXPECT_EQ(timeline.satellite_capacity_factor(0, 3), 1.0);
+  EXPECT_EQ(copy.satellite_capacity_factor(0, 3), 0.5);
+  EXPECT_EQ(copy.satellite_capacity_factor(1, 2), forward);
+  expect_matches_brute_force(timeline, 8, 25);
+  expect_matches_brute_force(copy, 8, 25);
 }
 
 TEST(FaultTimeline, AvailabilityMaskIsComplementOfOutageMask) {

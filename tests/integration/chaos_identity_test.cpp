@@ -1,10 +1,10 @@
 // Chaos-layer identity acceptance: an EMPTY fault::EventBook compiled onto a
 // timeline plus a DISABLED net::DegradationPolicy must leave every consumer
-// bit-identical to the pre-chaos outputs — scheduler links for every
-// VisibilityMode and pool size (run, run_reference, serial and pooled
-// contexts), SLA reports, and the per-party outage evidence the reputation/
-// receipt layers consume. This is the contract that lets the chaos subsystem
-// ride in the default build without perturbing a single existing result.
+// bit-identical to the pre-chaos outputs — scheduler links for every pool
+// size (run, run_reference, serial and pooled contexts), SLA reports, and
+// the per-party outage evidence the reputation/receipt layers consume. This
+// is the contract that lets the chaos subsystem ride in the default build
+// without perturbing a single existing result.
 #include <gtest/gtest.h>
 
 #include "core/sla.hpp"
@@ -75,46 +75,32 @@ TEST(ChaosIdentity, EmptyBookAndDisabledPolicyMatchEveryModeAndPoolSize) {
       empty_book.compile(grid, f.satellites, f.stations);
   EXPECT_TRUE(timeline.empty());
 
-  for (const net::VisibilityMode mode :
-       {net::VisibilityMode::kAuto, net::VisibilityMode::kPairMasks,
-        net::VisibilityMode::kFootprintStream}) {
-    net::SchedulerConfig config = f.config;
-    config.visibility_mode = mode;
-    // The disabled policy deliberately carries every knob, so enabled=false
-    // alone must neutralize the whole layer.
-    config.degradation.enabled = false;
-    config.degradation.party_tier = {0, 1, 2};
-    config.degradation.shed_below = {0.0, 0.9};
-    config.degradation.spare_hysteresis_margin = 0.4;
-    config.degradation.backoff_initial_steps = 4;
+  net::SchedulerConfig config = f.config;
+  // The disabled policy deliberately carries every knob, so enabled=false
+  // alone must neutralize the whole layer.
+  config.degradation.enabled = false;
+  config.degradation.party_tier = {0, 1, 2};
+  config.degradation.shed_below = {0.0, 0.9};
+  config.degradation.spare_hysteresis_margin = 0.4;
+  config.degradation.backoff_initial_steps = 4;
 
-    net::SchedulerConfig pristine = f.config;
-    pristine.visibility_mode = mode;
-    const net::BentPipeScheduler before(pristine, f.satellites, f.terminals,
-                                        f.stations);
-    const net::BentPipeScheduler after(config, f.satellites, f.terminals,
-                                       f.stations);
+  const net::BentPipeScheduler before(f.config, f.satellites, f.terminals, f.stations);
+  const net::BentPipeScheduler after(config, f.satellites, f.terminals, f.stations);
 
-    const net::ScheduleResult baseline =
-        before.run(grid, f.party_count, /*keep_steps=*/true);
-    // Empty timeline pointer vs no timeline at all, run vs run_reference.
-    EXPECT_TRUE(after.run(grid, f.party_count, &timeline, true) == baseline)
-        << "mode " << static_cast<int>(mode);
-    EXPECT_TRUE(after.run(grid, f.party_count, nullptr, true) == baseline)
-        << "mode " << static_cast<int>(mode);
-    EXPECT_TRUE(after.run_reference(grid, f.party_count, &timeline, true) ==
-                baseline)
-        << "mode " << static_cast<int>(mode);
+  const net::ScheduleResult baseline = before.run(grid, f.party_count, /*keep_steps=*/true);
+  // Empty timeline pointer vs no timeline at all, run vs run_reference.
+  EXPECT_TRUE(after.run(grid, f.party_count, &timeline, true) == baseline);
+  EXPECT_TRUE(after.run(grid, f.party_count, nullptr, true) == baseline);
+  EXPECT_TRUE(after.run_reference(grid, f.party_count, &timeline, true) == baseline);
 
-    // Pool sizes: serial context and two pooled widths, timeline attached.
-    for (const unsigned threads : {0u, 2u, 3u}) {
-      sim::Scenario scenario;
-      scenario.threads = static_cast<int>(threads);
-      sim::RunContext context(scenario);
-      context.use_faults(&timeline);
-      EXPECT_TRUE(after.run(grid, f.party_count, context, true) == baseline)
-          << "mode " << static_cast<int>(mode) << " threads " << threads;
-    }
+  // Pool sizes: serial context and two pooled widths, timeline attached.
+  for (const unsigned threads : {0u, 2u, 3u}) {
+    sim::Scenario scenario;
+    scenario.threads = static_cast<int>(threads);
+    sim::RunContext context(scenario);
+    context.use_faults(&timeline);
+    EXPECT_TRUE(after.run(grid, f.party_count, context, true) == baseline)
+        << "threads " << threads;
   }
 }
 

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <optional>
 #include <stdexcept>
+#include <utility>
 
 #include "constellation/population.hpp"
 #include "coverage/footprint_index.hpp"
@@ -192,11 +193,84 @@ TEST(SchedulerPipeline, AggregatesMatchWithoutKeptSteps) {
   EXPECT_TRUE(pipelined.steps.empty());
 }
 
+// Phase-1 edge shapes — regenerative relays, empty terminal or station sets,
+// a party with no station, stations owned outside [0, party_count): each
+// must match run_reference, faulted and unfaulted, serial and pooled.
+TEST(SchedulerPipeline, StreamCoversFormerPairMaskCases) {
+  const orbit::TimeGrid grid = test_grid();
+  std::vector<std::pair<const char*, RandomFleet>> cases;
+
+  RandomFleet regenerative = make_fleet(3);
+  regenerative.config.relay_mode = RelayMode::kRegenerative;
+  {
+    // The relay mode must reach phase 1's link budgets: regenerative
+    // capacities differ from transparent ones on the same fleet.
+    const RandomFleet transparent = make_fleet(3);
+    const ScheduleResult a =
+        BentPipeScheduler(regenerative.config, regenerative.satellites,
+                          regenerative.terminals, regenerative.stations)
+            .run_reference(grid, regenerative.party_count, nullptr, true);
+    const ScheduleResult b = BentPipeScheduler(transparent.config, transparent.satellites,
+                                               transparent.terminals, transparent.stations)
+                                 .run_reference(grid, transparent.party_count, nullptr, true);
+    EXPECT_GT(a.total_served_seconds, 0.0);
+    EXPECT_FALSE(a == b);
+  }
+  cases.emplace_back("regenerative relay", regenerative);
+
+  RandomFleet no_terminals = make_fleet(4);
+  no_terminals.terminals.clear();
+  cases.emplace_back("zero terminals", no_terminals);
+
+  RandomFleet no_stations = make_fleet(5);
+  no_stations.stations.clear();
+  cases.emplace_back("zero stations", no_stations);
+
+  // make_fleet never gives the last party a station; give it terminals.
+  RandomFleet stationless_party = make_fleet(6);
+  for (std::size_t ti = 0; ti < stationless_party.terminals.size(); ti += 2) {
+    stationless_party.terminals[ti].owner_party =
+        static_cast<std::uint32_t>(stationless_party.party_count - 1);
+  }
+  cases.emplace_back("party with no station", stationless_party);
+
+  // Stations owned by parties outside [0, party_count) match no terminal.
+  RandomFleet foreign_station = make_fleet(8);
+  foreign_station.stations[0].owner_party =
+      static_cast<std::uint32_t>(foreign_station.party_count);
+  foreign_station.stations.push_back(foreign_station.stations.back());
+  foreign_station.stations.back().owner_party = 1000;
+  cases.emplace_back("station owner >= party_count", foreign_station);
+
+  for (const auto& [name, f] : cases) {
+    const BentPipeScheduler scheduler(f.config, f.satellites, f.terminals, f.stations);
+    const fault::FaultTimeline faults = make_faults(grid, f, 17);
+    const ScheduleResult reference =
+        scheduler.run_reference(grid, f.party_count, nullptr, /*keep_steps=*/true);
+    const ScheduleResult faulted_reference =
+        scheduler.run_reference(grid, f.party_count, &faults, /*keep_steps=*/true);
+    EXPECT_TRUE(scheduler.run(grid, f.party_count, /*keep_steps=*/true) == reference)
+        << name;
+    EXPECT_TRUE(scheduler.run(grid, f.party_count, &faults, /*keep_steps=*/true) ==
+                faulted_reference)
+        << name;
+    for (const std::size_t threads : {2u, 4u}) {
+      util::ThreadPool pool(threads);
+      EXPECT_TRUE(scheduler.run(grid, f.party_count, /*keep_steps=*/true, &pool) ==
+                  reference)
+          << name << " pool " << threads;
+      EXPECT_TRUE(scheduler.run(grid, f.party_count, &faults, /*keep_steps=*/true,
+                                &pool) == faulted_reference)
+          << name << " pool " << threads;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, SchedulerPipeline, ::testing::Range<std::uint64_t>(0, 12));
 
-// The footprint-stream path (spatial index + shell shards + bounded-queue
-// streaming) must be indistinguishable from the classic pair-mask path when
-// the candidate cap is off — same grants, same link ordering, same metrics-
+// The footprint stream (spatial index + shell shards + bounded-queue
+// streaming) must be indistinguishable from the reference scan when the
+// candidate cap is off — same grants, same link ordering, same metrics-
 // bearing aggregates — regardless of chunk shape, slot count, or pool size.
 class SchedulerFootprintStream : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -204,14 +278,8 @@ class SchedulerFootprintStream : public ::testing::TestWithParam<std::uint64_t> 
 constexpr std::size_t kChunkSteps[] = {1, 8, 16, 64};
 constexpr std::size_t kPoolSizes[] = {2, 3, 4, 8};
 
-RandomFleet make_streamed_fleet(std::uint64_t seed) {
-  RandomFleet f = make_fleet(seed);
-  f.config.visibility_mode = VisibilityMode::kFootprintStream;
-  return f;
-}
-
 TEST_P(SchedulerFootprintStream, MatchesReferenceBitForBit) {
-  const RandomFleet f = make_streamed_fleet(GetParam());
+  const RandomFleet f = make_fleet(GetParam());
   const BentPipeScheduler scheduler(f.config, f.satellites, f.terminals, f.stations);
   const orbit::TimeGrid grid = test_grid();
 
@@ -222,7 +290,7 @@ TEST_P(SchedulerFootprintStream, MatchesReferenceBitForBit) {
 }
 
 TEST_P(SchedulerFootprintStream, FaultedMatchesReferenceBitForBit) {
-  const RandomFleet f = make_streamed_fleet(GetParam());
+  const RandomFleet f = make_fleet(GetParam());
   const BentPipeScheduler scheduler(f.config, f.satellites, f.terminals, f.stations);
   const orbit::TimeGrid grid = test_grid();
   const fault::FaultTimeline faults = make_faults(grid, f, GetParam());
@@ -235,7 +303,7 @@ TEST_P(SchedulerFootprintStream, FaultedMatchesReferenceBitForBit) {
 }
 
 TEST_P(SchedulerFootprintStream, ChunkSlotAndPoolShapeNeverChangeResult) {
-  RandomFleet f = make_streamed_fleet(GetParam());
+  RandomFleet f = make_fleet(GetParam());
   const orbit::TimeGrid grid = test_grid();
   const fault::FaultTimeline faults = make_faults(grid, f, GetParam());
 
@@ -272,7 +340,7 @@ TEST_P(SchedulerFootprintStream, CandidateCapIsDeterministicAcrossShapes) {
   // A finite cap may legitimately drop low-capacity candidates, so the result
   // is not compared against the exact path — but it must be a pure function
   // of the inputs: pool size, chunk shape, and slot count cannot change it.
-  RandomFleet f = make_streamed_fleet(GetParam());
+  RandomFleet f = make_fleet(GetParam());
   f.config.max_candidates_per_terminal = 2;
   const orbit::TimeGrid grid = test_grid();
 
@@ -308,7 +376,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SchedulerFootprintStream,
 RandomFleet make_population_fleet() {
   RandomFleet f;
   f.party_count = 3;
-  f.config.visibility_mode = VisibilityMode::kFootprintStream;
   f.config.beams_per_satellite = 2;
   f.config.stream_chunk_steps = 8;
   f.config.spare_withheld_fraction = {0.5};

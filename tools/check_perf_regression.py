@@ -287,7 +287,7 @@ def validate_mega_scale(section) -> list:
         problems.append("mega_scale.stream missing chunk_steps/slots/candidate_cap")
     if section.get("bit_identical") is not True:
         problems.append("mega_scale.bit_identical is not true (the sub-fleet "
-                        "stream-vs-pair-mask identity check failed or is missing)")
+                        "stream-vs-run_reference identity check failed or is missing)")
     if problems:
         return problems
 
